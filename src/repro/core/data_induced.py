@@ -2,8 +2,11 @@
 
 Column statistics — min/max for numeric columns, the set of present
 categories for categorical columns — induce predicates that feed the same
-pruning machinery as the WHERE-clause rule: a tree split on ``age <= 60``
-collapses when the data provably lies on one side.
+pruning routine as the WHERE-clause rule
+(:func:`repro.core.predicate_pruning.prune_model`, which bounds each slot
+with the shared featurizer): a tree split on ``age <= 60`` collapses when
+the data provably lies on one side. The statistics come from a pandas
+sample on the driver (:func:`collect_stats_pandas`).
 
 The partitioned variant compiles **one optimized model per partition**: for
 each value of a partition column, per-partition statistics induce stronger
@@ -16,13 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
-from repro.core.predicate_pruning import PruneResult
+from repro.core.predicate_pruning import PruneResult, prune_model
 from repro.core.projection_pushdown import apply_projection_pushdown
 from repro.ir.graph import Pipeline
-from repro.ir.slots import model_input_slots, slot_intervals
 
 
 @dataclass
@@ -39,25 +39,6 @@ class ColumnStats:
         for c, dom in self.cat_domains.items():
             out[c] = ("in", {str(v) for v in dom})
         return out
-
-
-def collect_stats(
-    df: DataFrame, num_cols: list[str], cat_cols: list[str]
-) -> ColumnStats:
-    """Gather the statistics a data engine keeps per column (one Spark agg
-    for numeric ranges; distinct scans for categorical domains)."""
-    stats = ColumnStats()
-    if num_cols:
-        aggs = []
-        for c in num_cols:
-            aggs += [F.min(c).alias(f"min_{c}"), F.max(c).alias(f"max_{c}")]
-        row = df.agg(*aggs).collect()[0]
-        for c in num_cols:
-            stats.num_ranges[c] = (float(row[f"min_{c}"]), float(row[f"max_{c}"]))
-    for c in cat_cols:
-        vals = [r[0] for r in df.select(c).distinct().collect()]
-        stats.cat_domains[c] = {str(v) for v in vals}
-    return stats
 
 
 def collect_stats_pandas(
@@ -78,35 +59,11 @@ def apply_data_induced_pruning(p: Pipeline, stats: ColumnStats) -> PruneResult:
     (a min==max column would qualify but is rare); only intervals flow.
     """
     p = p.clone()
-    preds = {
-        c: v for c, v in stats.as_predicates().items() if c in set(p.input_cols)
-    }
+    inputs = set(p.input_cols)
+    preds = {c: v for c, v in stats.as_predicates().items() if c in inputs}
     if not preds:
         return PruneResult(p)
-    try:
-        slots = model_input_slots(p)
-    except ValueError:
-        return PruneResult(p)
-    lo, hi = slot_intervals(slots, preds)
-    model = p.model_node
-    removed = 0
-    if model.op == "tree_ensemble":
-        new_trees = []
-        for t in model.attrs["trees"]:
-            nt = t.prune_with_intervals(lo, hi)
-            removed += t.n_nodes - nt.n_nodes
-            new_trees.append(nt)
-        model.attrs["trees"] = new_trees
-    else:
-        coef = np.asarray(model.attrs["coef"], dtype=np.float64).copy()
-        intercept = float(model.attrs["intercept"])
-        known = lo == hi
-        intercept += float(np.sum(coef[known] * lo[known]))
-        removed = int(np.sum(known & (coef != 0.0)))
-        coef[known] = 0.0
-        model.attrs["coef"] = coef
-        model.attrs["intercept"] = intercept
-    return PruneResult(p, {}, removed)
+    return PruneResult(p, {}, prune_model(p, preds))
 
 
 @dataclass

@@ -7,11 +7,20 @@ traversal exactly as the paper describes:
     CASE WHEN F[0] > 60 THEN (...) ELSE (...) END
 
 Featurizer logic is *inlined* into each comparison through slot provenance:
-a split on a scaled slot compiles to ``(col*a + b) <= thr``; a split on a
-one-hot slot simplifies to ``col = 'cat'`` / ``col <> 'cat'`` instead of
-materializing the indicator. The compiler translates the entire pipeline or
-raises (the paper's "whole model pipeline or fail" contract); the caller
-falls back to the ML runtime.
+a split on a scaled slot compiles to ``CAST((col - offset) * scale AS
+FLOAT) <= thr``, the runtime's own operation order and float32 cast; a
+split on a one-hot slot simplifies to ``col = 'cat'`` instead of
+materializing the indicator.
+
+NULL semantics follow the ML runtime (:mod:`repro.runtime.onnx_rt`). A
+NULL categorical value sets no one-hot indicator, so it takes the
+"category absent" branch of every one-hot split: the split is always
+written ``CASE WHEN col = 'cat' THEN <present> ELSE <absent> END``, and a
+NULL comparison falls to ELSE. A NULL numeric value takes the right
+branch of every split, as NaN does in the runtime's ``x <= thr``.
+
+The compiler translates the entire pipeline or raises (the paper's "whole
+model pipeline or fail" contract); the caller falls back to the ML runtime.
 
 Both Spark SQL and DuckDB accept the generated dialect (CASE/EXP/CAST).
 Numeric splits compare ``CAST(expr AS FLOAT)`` so the float32 feature
@@ -58,39 +67,35 @@ def _sum_sql(parts: list[str]) -> str:
 
 
 def _slot_value_sql(s: Slot) -> str:
-    """SQL for the slot's numeric value (used by linear models)."""
+    """SQL for the slot's numeric value: each Scaler applied in the
+    runtime's order, ``(x - offset) * scale``, so the double arithmetic
+    rounds as :func:`repro.runtime.onnx_rt.featurize` does."""
     if s.kind == "const":
         return _lit(s.const)
     if s.kind == "num":
-        if s.a == 1.0 and s.b == 0.0:
-            return f"CAST({s.source} AS DOUBLE)"
-        return f"(CAST({s.source} AS DOUBLE) * {_lit(s.a)} + {_lit(s.b)})"
-    # one-hot indicator (possibly scaled)
-    ind = f"(CASE WHEN {s.source} = {_lit(s.category)} THEN 1.0 ELSE 0.0 END)"
-    if s.a == 1.0 and s.b == 0.0:
-        return ind
-    return f"({ind} * {_lit(s.a)} + {_lit(s.b)})"
+        expr = f"CAST({s.source} AS DOUBLE)"
+    else:  # one-hot indicator
+        expr = f"(CASE WHEN {s.source} = {_lit(s.category)} THEN 1.0 ELSE 0.0 END)"
+    for off, sc in s.scalers:
+        expr = f"(({expr} - {_lit(off)}) * {_lit(sc)})"
+    return expr
 
 
-def _slot_le_sql(s: Slot, thr: float) -> str | bool:
-    """SQL condition for ``slot_value <= thr`` (True/False when static)."""
+def _slot_le_sql(s: Slot, thr: float) -> bool | tuple[str, bool]:
+    """SQL for the split ``slot_value <= thr``: True/False when static,
+    else ``(cond, cond_is_le)``. Rows where ``cond`` is TRUE take the left
+    child when ``cond_is_le``, the right one otherwise; FALSE and NULL rows
+    take the other child. A one-hot ``cond`` is always ``col = 'cat'``."""
     if s.kind == "const":
         return bool(s.const <= thr)
     if s.kind == "num":
-        expr = f"CAST({s.source} AS DOUBLE)"
-        if not (s.a == 1.0 and s.b == 0.0):
-            expr = f"({expr} * {_lit(s.a)} + {_lit(s.b)})"
-        return f"CAST({expr} AS FLOAT) <= {_lit(thr)}"
+        return f"CAST({_slot_value_sql(s)} AS FLOAT) <= {_lit(thr)}", True
     # one-hot: the slot takes value b (category absent) or a+b (present)
-    le_if_absent = np.float32(s.b) <= thr
-    le_if_present = np.float32(s.a + s.b) <= thr
-    if le_if_absent and le_if_present:
-        return True
-    if not le_if_absent and not le_if_present:
-        return False
-    if le_if_present:  # condition holds exactly when category present
-        return f"{s.source} = {_lit(s.category)}"
-    return f"{s.source} <> {_lit(s.category)}"
+    le_if_absent = bool(np.float32(s.b) <= thr)
+    le_if_present = bool(np.float32(s.a + s.b) <= thr)
+    if le_if_absent == le_if_present:
+        return le_if_absent
+    return f"{s.source} = {_lit(s.category)}", le_if_present
 
 
 def _tree_case_sql(t: Tree, slots: list[Slot], leaf_sql) -> str:
@@ -99,15 +104,15 @@ def _tree_case_sql(t: Tree, slots: list[Slot], leaf_sql) -> str:
     def rec(node: int) -> str:
         if t.left[node] == LEAF:
             return leaf_sql(node)
-        cond = _slot_le_sql(slots[int(t.feature[node])], float(t.threshold[node]))
-        if cond is True:
-            return rec(int(t.left[node]))
-        if cond is False:
-            return rec(int(t.right[node]))
-        return (
-            f"CASE WHEN {cond} THEN {rec(int(t.left[node]))} "
-            f"ELSE {rec(int(t.right[node]))} END"
-        )
+        split = _slot_le_sql(slots[int(t.feature[node])], float(t.threshold[node]))
+        left, right = int(t.left[node]), int(t.right[node])
+        if split is True:
+            return rec(left)
+        if split is False:
+            return rec(right)
+        cond, cond_is_le = split
+        then, other = (left, right) if cond_is_le else (right, left)
+        return f"CASE WHEN {cond} THEN {rec(then)} ELSE {rec(other)} END"
 
     return rec(0)
 

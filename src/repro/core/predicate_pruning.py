@@ -6,12 +6,19 @@ Step 1 — binds every model input with an equality predicate to a Constant
 node (so the column no longer needs to be fed to — or scanned for — the
 model) and records range predicates.
 
-Step 2 — propagates the equality/range information through the featurizers
-via slot provenance (:mod:`repro.ir.slots`): ``asthma=1`` becomes a known
-``[0,1]`` one-hot vector, a constant ``c`` becomes ``(c-offset)*scale``
-under a Scaler — then prunes every tree of a tree-based model against the
-resulting per-slot intervals, and constant-folds linear models (known slots
-fold into the intercept).
+Step 2 — :func:`prune_model`, the one pruning routine (data-induced
+pruning, :mod:`repro.core.data_induced`, calls it with column statistics):
+bounds every model-input slot (:mod:`repro.ir.slots`) given the remaining
+range predicates — ``asthma=1`` becomes a known ``[0,1]`` one-hot vector,
+``age <= 60`` the range of ``(age-offset)*scale`` under a Scaler — then
+prunes every tree of a tree-based model against those bounds, and
+constant-folds linear models (known slots fold into the intercept).
+
+Bounds are computed in the runtime's own arithmetic: numeric slots by the
+shared featurizer :func:`repro.runtime.onnx_rt.featurize` evaluated at the
+predicate bounds, cast to float32 for trees as the tree kernel casts them.
+So a row on a bound keeps its label even when the bound sits on a split
+(:func:`slot_bounds`).
 
 Also implements the paper's *output-predicate* variant: an equality
 predicate on the model's prediction collapses subtrees with no satisfying
@@ -22,10 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import pandas as pd
 
 from repro.ir.graph import Node, Pipeline
-from repro.ir.slots import model_input_slots, slot_intervals
+from repro.ir.slots import Slot, model_input_slots
 from repro.ir.tree import Tree
+from repro.runtime import onnx_rt
 
 
 @dataclass
@@ -100,33 +109,80 @@ def apply_predicate_pruning(p: Pipeline, predicates: list[Predicate]) -> PruneRe
             bound[col] = value
     p = p.gc()
 
-    # Step 2: interval propagation through featurizers, then model pruning.
+    # Step 2: bound every slot, then prune the model against the bounds.
+    return PruneResult(p, bound, prune_model(p, merged))
+
+
+def prune_model(p: Pipeline, predicates: dict[str, tuple]) -> int:
+    """Prune ``p``'s model in place against per-column ``predicates``.
+
+    The one pruning routine of both rules: tree models drop every split
+    their slot bounds decide, linear models fold exactly-known slots into
+    the intercept. Returns the tree nodes removed (linear: the nonzero
+    coefficients folded). A graph whose slot provenance cannot be resolved
+    is left as it is — "executed but not optimized".
+    """
     try:
         slots = model_input_slots(p)
     except ValueError:
-        return PruneResult(p, bound)
-    lo, hi = slot_intervals(slots, merged)
-
+        return 0
     model = p.model_node
-    removed = 0
     if model.op == "tree_ensemble":
-        new_trees = []
-        for t in model.attrs["trees"]:
-            nt = t.prune_with_intervals(lo, hi)
-            removed += t.n_nodes - nt.n_nodes
-            new_trees.append(nt)
-        model.attrs["trees"] = new_trees
-    else:  # linear: fold exactly-known slots into the intercept
-        coef = np.asarray(model.attrs["coef"], dtype=np.float64).copy()
-        intercept = float(model.attrs["intercept"])
-        known = lo == hi
-        folded = known & (coef != 0.0)
-        intercept += float(np.sum(coef[known] * lo[known]))
-        coef[known] = 0.0
-        removed = int(np.sum(folded))
-        model.attrs["coef"] = coef
-        model.attrs["intercept"] = intercept
-    return PruneResult(p, bound, removed)
+        lo, hi = slot_bounds(p, slots, predicates, np.float32)
+        trees = model.attrs["trees"]
+        model.attrs["trees"] = [t.prune_with_intervals(lo, hi) for t in trees]
+        return sum(t.n_nodes for t in trees) - tree_ensemble_size(p)
+    lo, hi = slot_bounds(p, slots, predicates, np.float64)
+    coef = np.asarray(model.attrs["coef"], dtype=np.float64).copy()
+    known = lo == hi
+    model.attrs["intercept"] = float(model.attrs["intercept"]) + float(
+        np.sum(coef[known] * lo[known])
+    )
+    removed = int(np.sum(known & (coef != 0.0)))
+    coef[known] = 0.0
+    model.attrs["coef"] = coef
+    return removed
+
+
+def slot_bounds(
+    p: Pipeline, slots: list[Slot], predicates: dict[str, tuple], dtype
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-slot ``[lo, hi]`` over the rows that satisfy ``predicates``, as
+    the model kernel sees the slot: the runtime's float64 featurization,
+    cast to ``dtype`` (float32 for trees, as :func:`onnx_rt.predict` does).
+
+    Numeric and constant slots come from the shared featurizer evaluated at
+    each input's raw bounds. Its rounded affine maps (and the cast) are
+    monotone, so the two outputs bound every value in between exactly.
+    One-hot slots come from :meth:`Slot.interval`: exact for a bare 0/1
+    indicator, widened outward by one float32 ulp when a scaler follows
+    the one-hot, whose rounding that refolded form does not reproduce.
+    """
+    # each numeric input at its raw lower (row 0) and upper (row 1) bound
+    frame = pd.DataFrame(
+        {
+            n.attrs["name"]: Slot("num", source=n.attrs["name"]).interval(predicates)
+            if n.attrs["kind"] == "num"
+            else (None, None)
+            for n in p.nodes.values()
+            if n.op == "input"
+        },
+        index=[0, 1],
+    )
+    with np.errstate(invalid="ignore"):  # inf * 0 under a zero scale
+        X = onnx_rt.featurize(p, frame)
+    lo, hi = np.fmin(X[0], X[1]), np.fmax(X[0], X[1])
+    lo[np.isnan(lo)] = -np.inf
+    hi[np.isnan(hi)] = np.inf
+    f32 = np.float32
+    for i, s in enumerate(slots):
+        if s.kind != "onehot":
+            continue
+        lo[i], hi[i] = s.interval(predicates)
+        if (s.a, s.b) != (1.0, 0.0):  # refolded scaler: widen by a float32 ulp
+            lo[i] = np.nextafter(f32(lo[i]), f32(-np.inf))
+            hi[i] = np.nextafter(f32(hi[i]), f32(np.inf))
+    return lo.astype(dtype), hi.astype(dtype)
 
 
 def apply_output_predicate_pruning(p: Pipeline, label_value: int) -> Pipeline:

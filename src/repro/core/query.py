@@ -45,11 +45,5 @@ class PredictionQuery:
     def with_pipeline(self, p: Pipeline) -> "PredictionQuery":
         return replace(self, pipeline=p)
 
-    def owner_of(self, col: str) -> str | None:
-        for t, cols in self.table_cols.items():
-            if col in cols:
-                return t
-        return None
-
     def predicate_cols(self) -> set[str]:
         return {p.col for p in self.where}

@@ -73,13 +73,6 @@ def dataset_env(spark: SparkSession, name: str, n_rows: int, seed: int = 0) -> D
     return env
 
 
-def release_env(name: str, n_rows: int) -> None:
-    env = _ENV_CACHE.pop((name, n_rows), None)
-    if env:
-        for df in env.catalog.values():
-            df.unpersist()
-
-
 def dataset_pipeline(name: str, kind: str, **hp) -> Pipeline:
     """Cached trained pipeline -> IR for a dataset/model combination."""
     merged = {**MODEL_SETTINGS.get(kind, {}), **hp}

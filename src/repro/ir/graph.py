@@ -77,12 +77,6 @@ class Pipeline:
     def model_node(self) -> Node:
         return self.nodes[self.output]
 
-    def input_nodes(self) -> list[Node]:
-        by_col = {
-            n.attrs["name"]: n for n in self.nodes.values() if n.op == "input"
-        }
-        return [by_col[c] for c in self.input_order if c in by_col]
-
     @property
     def input_cols(self) -> list[str]:
         present = {n.attrs["name"] for n in self.nodes.values() if n.op == "input"}
@@ -164,10 +158,6 @@ def node_width(p: Pipeline, nid: str) -> int:
     if n.op == "feature_extractor":
         return len(n.attrs["indices"])
     raise ValueError(f"model node {n.op} has no column width")
-
-
-def replace_input(node: Node, old: str, new: str) -> None:
-    node.inputs = [new if i == old else i for i in node.inputs]
 
 
 def model_used_features(model: Node) -> np.ndarray:

@@ -9,7 +9,11 @@ pre-processing/featurization operators" when pushing predicates down
 
 A slot value is ``a * base + b`` where ``base`` is either the raw numeric
 column value (kind "num") or the 0/1 category indicator (kind "onehot");
-constants have a fully known value.
+constants have a fully known value. ``a`` and ``b`` refold the Scalers in
+float64, which rounds differently from the runtime's ``(x - offset) *
+scale`` per Scaler. So MLtoSQL inlines the Scalers themselves
+(``Slot.scalers``), and the pruning rules take a slot's exact bounds from
+the shared featurizer (:func:`repro.core.predicate_pruning.slot_bounds`).
 """
 from __future__ import annotations
 
@@ -30,9 +34,16 @@ class Slot:
     b: float = 0.0
     category: str | None = None  # for kind == "onehot"
     const: float | None = None  # for kind == "const": the known value
+    #: (offset, scale) of each Scaler the slot passes, in order: the runtime
+    #: computes ``(x - offset) * scale`` per Scaler; ``a``/``b`` fold them
+    scalers: tuple[tuple[float, float], ...] = ()
 
     def interval(self, predicates: dict[str, tuple]) -> tuple[float, float]:
-        """[lo, hi] bound on this slot's value given raw-column predicates.
+        """[lo, hi] bound on ``a * base + b`` given raw-column predicates.
+
+        Exact for constants, bare one-hot indicators and unscaled numeric
+        slots; for a scaled slot it may differ from the runtime's value by
+        rounding (see the module docstring).
 
         ``predicates[col]`` is ``("eq", v)``, ``("range", lo, hi)`` or
         ``("in", {v, ...})`` (the latter for categorical domain knowledge
@@ -125,6 +136,7 @@ def model_input_slots(p: Pipeline) -> list[Slot]:
                             a=s.a * float(sc[i]),
                             b=(s.b - float(off[i])) * float(sc[i]),
                             category=s.category,
+                            scalers=s.scalers + ((float(off[i]), float(sc[i])),),
                         )
                     )
             return out
@@ -143,14 +155,3 @@ def model_input_slots(p: Pipeline) -> list[Slot]:
     for i in model.inputs:
         slots.extend(resolve(i))
     return slots
-
-
-def slot_intervals(
-    slots: list[Slot], predicates: dict[str, tuple]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked (lo, hi) arrays over all slots for tree pruning."""
-    lo = np.empty(len(slots))
-    hi = np.empty(len(slots))
-    for i, s in enumerate(slots):
-        lo[i], hi[i] = s.interval(predicates)
-    return lo, hi

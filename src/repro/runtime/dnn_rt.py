@@ -17,6 +17,11 @@ node-by-feature matrices explode): all trees padded into stacked arrays
 and traversed level-synchronously with batched gather ops — ``depth``
 tensor iterations instead of ``n_trees x depth`` scalar-driven loops.
 
+Featurization is not compiled here: :meth:`DnnModel.predict` calls the
+shared featurizer :func:`repro.runtime.onnx_rt.featurize` and casts its
+matrix to float32, and the ensemble output (gb margin or averaged class
+probabilities) goes through :func:`repro.runtime.onnx_rt.ensemble_output`.
+
 The "DNN runtime" here is NumPy — the tensor-kernel substitute for
 PyTorch/ORT in this container (see DESIGN.md). :mod:`repro.runtime.gpu_sim`
 prices the same tensor program on a modeled GPU.
@@ -30,7 +35,7 @@ import pandas as pd
 
 from repro.ir.graph import Pipeline
 from repro.ir.tree import LEAF, Tree
-from repro.ml.ensemble import sigmoid
+from repro.runtime import onnx_rt
 
 
 @dataclass
@@ -60,6 +65,16 @@ class TreeGemm:
         return sum(m.nbytes for m in (self.A, self.B, self.C, self.D, self.V))
 
 
+def _f32_at_most(threshold: np.ndarray) -> np.ndarray:
+    """The largest float32 at or below each threshold: for a float32 ``x``,
+    ``x <= _f32_at_most(t)`` exactly when ``x <= t``, the float64
+    comparison of :func:`repro.runtime.onnx_rt.predict` (rounding ``t`` to
+    nearest would move rows that sit on the rounded value)."""
+    t = np.asarray(threshold, dtype=np.float64)
+    t32 = t.astype(np.float32)
+    return np.where(t32 > t, np.nextafter(t32, np.float32(-np.inf)), t32)
+
+
 def compile_tree(t: Tree, n_features: int) -> TreeGemm:
     internal = [n for n in range(t.n_nodes) if t.left[n] != LEAF]
     leaves = [n for n in range(t.n_nodes) if t.left[n] == LEAF]
@@ -68,10 +83,9 @@ def compile_tree(t: Tree, n_features: int) -> TreeGemm:
     I, L = len(internal), len(leaves)
 
     A = np.zeros((n_features, I), dtype=np.float32)
-    B = np.zeros(I, dtype=np.float32)
     for n, i in int_pos.items():
         A[int(t.feature[n]), i] = 1.0
-        B[i] = np.float32(t.threshold[n])
+    B = _f32_at_most(t.threshold[internal])
     C = np.zeros((I, L), dtype=np.float32)
     D = np.zeros(L, dtype=np.float32)
 
@@ -157,7 +171,7 @@ def compile_traversal(trees: list[Tree]) -> TreeTravEnsemble:
     for ti, t in enumerate(trees):
         n = t.n_nodes
         feature[ti, :n] = t.feature
-        threshold[ti, :n] = t.threshold.astype(np.float32)
+        threshold[ti, :n] = _f32_at_most(t.threshold)
         is_leaf = t.left == LEAF
         self_idx = np.arange(n, dtype=np.int32)
         left[ti, :n] = np.where(is_leaf, self_idx, t.left)
@@ -169,8 +183,9 @@ def compile_traversal(trees: list[Tree]) -> TreeTravEnsemble:
 
 @dataclass
 class DnnModel:
-    """The tensorized pipeline: featurizers (as tensor ops via the IR
-    interpreter's kernels) + GEMM tree program / dense linear layer."""
+    """The tensorized pipeline: the shared featurizer
+    (:func:`repro.runtime.onnx_rt.featurize`, cast to float32) + GEMM or
+    traversal tree program / dense linear layer."""
 
     pipeline: Pipeline
     trees: list[TreeGemm] = field(default_factory=list)
@@ -184,35 +199,17 @@ class DnnModel:
     n_features: int = 0
 
     # -- execution ------------------------------------------------------
-    def _featurize(self, pdf: pd.DataFrame) -> np.ndarray:
-        from repro.runtime import onnx_rt  # featurizer kernels are tensor ops
-
-        model = self.pipeline.model_node
-        values: dict[str, np.ndarray] = {}
-        for nid in self.pipeline.topo_order():
-            node = self.pipeline.nodes[nid]
-            if node.op in ("linear_classifier", "tree_ensemble"):
-                break
-            _eval_one(node, values, pdf)
-        return np.hstack([values[i] for i in model.inputs]).astype(np.float32)
-
     def predict(self, pdf: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
-        X = self._featurize(pdf)
+        X = onnx_rt.featurize(self.pipeline, pdf).astype(np.float32)
         if self.kind == "lr":
-            margin = X @ self.coef + self.intercept
-            return (margin > 0).astype(np.int64), sigmoid(margin)
+            return onnx_rt.binary_output(X @ self.coef + self.intercept)
         if self.strategy == "traversal":
             acc = self.trav.run_sum(X)
         else:
             acc = np.zeros((X.shape[0], self.trees[0].V.shape[1]), dtype=np.float64)
             for tg in self.trees:
                 acc += tg.run(X)
-        if self.kind == "gb":
-            margin = acc[:, 0] + self.base_score
-            return (margin > 0).astype(np.int64), sigmoid(margin)
-        proba = acc / self.n_trees
-        label = np.argmax(proba, axis=1).astype(np.int64)
-        return label, proba[:, 1] if proba.shape[1] > 1 else proba[:, 0]
+        return onnx_rt.ensemble_output(self.kind, acc + self.base_score, self.n_trees)
 
     # -- cost metadata for the GPU model --------------------------------
     def flops(self, n_rows: int) -> int:
@@ -237,39 +234,6 @@ class DnnModel:
 
     def input_bytes(self, n_rows: int) -> int:
         return 4 * n_rows * self.n_features
-
-
-def _eval_one(node, values: dict, pdf: pd.DataFrame) -> None:
-    """Single-node featurizer kernels (shared semantics with onnx_rt)."""
-    if node.op == "input":
-        col = node.attrs["name"]
-        if node.attrs["kind"] == "num":
-            values[node.id] = pdf[col].to_numpy(dtype=np.float64)[:, None]
-        else:
-            values[node.id] = pdf[col].astype(str).to_numpy()[:, None]
-    elif node.op == "constant":
-        v = node.attrs["value"]
-        values[node.id] = (
-            np.full((len(pdf), 1), v, dtype=object)
-            if isinstance(v, str)
-            else np.full((len(pdf), 1), float(v))
-        )
-    elif node.op == "scaler":
-        values[node.id] = (values[node.inputs[0]] - node.attrs["offset"]) * node.attrs["scale"]
-    elif node.op == "onehot":
-        col = values[node.inputs[0]][:, 0]
-        cats = node.attrs["categories"]
-        codes = pd.Index(cats).get_indexer(pd.Index(col))
-        out = np.zeros((len(col), len(cats)), dtype=np.float64)
-        rows = np.flatnonzero(codes >= 0)
-        out[rows, codes[rows]] = 1.0
-        values[node.id] = out
-    elif node.op == "concat":
-        values[node.id] = np.hstack([values[i] for i in node.inputs])
-    elif node.op == "feature_extractor":
-        values[node.id] = values[node.inputs[0]][:, node.attrs["indices"]]
-    else:  # pragma: no cover
-        raise ValueError(f"unexpected op {node.op}")
 
 
 def compile_to_dnn(p: Pipeline) -> DnnModel:

@@ -40,15 +40,13 @@ def _tree_values_masked(t: Tree, X: np.ndarray) -> np.ndarray:
 def run(p: Pipeline, pdf: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
     """Execute with the reference strategy. Same contract as onnx_rt.run."""
     model = p.model_node
-    # Featurize via the shared interpreter for every non-model node, but in
-    # float64 and materializing each intermediate (no dtype downcast).
+    # Its own featurizer, on purpose: tests compare onnx_rt's shared
+    # featurizer against it. float64 throughout, no dtype downcast.
     values: dict[str, np.ndarray] = {}
     for nid in p.topo_order():
         node = p.nodes[nid]
         if node.op in ("linear_classifier", "tree_ensemble"):
             break
-        # re-use onnx_rt single-node semantics by delegating to a one-node
-        # evaluation: cheapest correct implementation, still float64.
         if node.op == "input":
             col = node.attrs["name"]
             if node.attrs["kind"] == "num":

@@ -7,8 +7,9 @@ is either
 - a generated SQL expression (MLtoSQL path, pure Catalyst — Spark's
   optimizer then pushes the referenced columns/filters further), or
 - an Arrow-vectorized ``mapInPandas`` UDF driving an ML runtime over 10k-
-  row batches with a process-global model cache — the architecture of the
-  paper's Raven Python UDF (§6).
+  row batches — the architecture of the paper's Raven Python UDF (§6),
+  except that the model is not cached per process: it is pickled into
+  every task's closure.
 
 Results are materialized with the ``noop`` data source (the stand-in for
 the paper's "write to HDFS" measurement sink — full execution, no local
@@ -29,10 +30,6 @@ from repro.core.query import PredictionQuery
 
 #: paper §6: vectorized-UDF batch size of 10k tuples
 UDF_BATCH_ROWS = 10_000
-
-#: process-global model cache, keyed by plan identity — mirrors the paper's
-#: "initializes and caches the model on a global variable" (§6)
-_MODEL_CACHE: dict[int, object] = {}
 
 
 def _predicate_cond(p: Predicate):

@@ -19,7 +19,7 @@ import time
 
 import pandas as pd
 
-from repro.core.ml2sql import _lit, _sum_sql, _tree_case_sql
+from repro.core.ml2sql import _lit, _slot_value_sql, _sum_sql, _tree_case_sql
 from repro.core.query import PredictionQuery
 from repro.ir.graph import Pipeline
 from repro.ir.slots import Slot, model_input_slots
@@ -34,17 +34,7 @@ def madlib_supported(p: Pipeline) -> bool:
 
 
 def _featurize_sql(slots: list[Slot]) -> list[str]:
-    out = []
-    for i, s in enumerate(slots):
-        if s.kind == "const":
-            expr = _lit(s.const)
-        elif s.kind == "num":
-            expr = f"(CAST({s.source} AS DOUBLE) * {_lit(s.a)} + {_lit(s.b)})"
-        else:
-            ind = f"(CASE WHEN {s.source} = {_lit(s.category)} THEN 1.0 ELSE 0.0 END)"
-            expr = ind if s.a == 1.0 and s.b == 0.0 else f"({ind} * {_lit(s.a)} + {_lit(s.b)})"
-        out.append(f"{expr} AS f{i}")
-    return out
+    return [f"{_slot_value_sql(s)} AS f{i}" for i, s in enumerate(slots)]
 
 
 def _dense_model_sql(p: Pipeline) -> str:

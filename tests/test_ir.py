@@ -6,7 +6,7 @@ import pytest
 
 from repro.ir.builder import build_pipeline_ir
 from repro.ir.graph import Node, Pipeline, model_used_features, node_width
-from repro.ir.slots import Slot, model_input_slots, slot_intervals
+from repro.ir.slots import Slot, model_input_slots
 from repro.ir.tree import LEAF, Tree, leaf_tree
 from repro.ml.pipeline import fit_pipeline
 from repro.runtime import onnx_rt, reference_rt

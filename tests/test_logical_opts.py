@@ -24,8 +24,10 @@ from repro.core.predicate_pruning import (
 )
 from repro.core.projection_pushdown import apply_projection_pushdown
 from repro.ir.builder import build_pipeline_ir
+from repro.ir.tree import LEAF
 from repro.ml.pipeline import fit_pipeline
 from repro.runtime import onnx_rt
+from tests.boundaries import split_boundaries
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +61,19 @@ def _assert_equiv(p_opt, p_orig, pdf, atol=1e-9):
     l0, s0 = onnx_rt.run(p_orig, pdf)
     np.testing.assert_array_equal(l1, l0)
     np.testing.assert_allclose(s1, s0, atol=atol)
+
+
+def _boundary_frames(frame, p):
+    """(column, value, op, rows): for each split boundary value ``v``, the
+    frame clipped to ``col <= v`` or ``col >= v``, so that every row
+    qualifies and many sit exactly on ``v``."""
+    for col, v in split_boundaries(p):
+        yield col, v, "<=", frame.assign(**{col: np.minimum(frame[col], v)})
+        yield col, v, ">=", frame.assign(**{col: np.maximum(frame[col], v)})
+
+
+def _label_changes(p_opt, p_orig, rows) -> int:
+    return int(np.sum(onnx_rt.run(p_opt, rows)[0] != onnx_rt.run(p_orig, rows)[0]))
 
 
 class TestMergePredicates:
@@ -139,6 +154,20 @@ class TestPredicatePruning:
         l0, s0 = onnx_rt.run(p, frame[frame.smoker == "yes"])
         np.testing.assert_array_equal(l1, l0)
         np.testing.assert_allclose(s1, s0, atol=1e-9)
+
+    @pytest.mark.parametrize("kind", ["dt", "gb"])
+    def test_split_boundary_predicates_keep_labels(self, frame, kind):
+        # a constant on a split boundary must not move any qualifying row
+        # to the other side of that split
+        p = _ir(frame, kind, max_depth=6, n_estimators=8)
+        bad = [
+            (col, v, op)
+            for col, v, op, rows in _boundary_frames(frame, p)
+            if _label_changes(
+                apply_predicate_pruning(p, [Predicate(col, op, v)]).pipeline, p, rows
+            )
+        ]
+        assert not bad, f"{len(bad)} boundary predicates change labels: {bad[:3]}"
 
     def test_never_grows(self, frame):
         p = _ir(frame, "rf", max_depth=6, n_estimators=8)
@@ -246,6 +275,39 @@ class TestDataInduced:
         stats = ColumnStats(cat_domains={"smoker": {"no"}})
         res = apply_data_induced_pruning(p, stats)
         _assert_equiv(res.pipeline, p, sub)
+
+    @pytest.mark.parametrize("kind", ["dt", "gb"])
+    def test_split_boundary_stats_keep_labels(self, frame, kind):
+        # a min or max on a split boundary must not move any row to the
+        # other side of that split
+        p = _ir(frame, kind, max_depth=6, n_estimators=8)
+        bad = []
+        for col, v, op, rows in _boundary_frames(frame, p):
+            stats = collect_stats_pandas(rows, [col], [])
+            assert stats.num_ranges[col][1 if op == "<=" else 0] == v
+            if _label_changes(apply_data_induced_pruning(p, stats).pipeline, p, rows):
+                bad.append((col, v, op))
+        assert not bad, f"{len(bad)} boundary min/max stats change labels: {bad[:3]}"
+
+    def test_scaled_onehot_domain_restriction(self, frame):
+        # a Scaler after the one-hot: the refolded slot bounds are widened,
+        # and the split on the 'yes' indicator still collapses
+        from repro.ir.graph import Node, Pipeline
+        from repro.ir.tree import Tree
+
+        inp = Node("input", [], {"name": "smoker", "kind": "cat"})
+        onehot = Node("onehot", [inp.id], {"categories": ["no", "yes", "quit"]})
+        scaler = Node("scaler", [onehot.id],
+                      {"offset": np.full(3, 0.3), "scale": np.full(3, 2.5)})
+        thr = (0.5 - 0.3) * 2.5  # between the scaled absent and present values
+        tree = Tree([1, 0, 0], [thr, 0, 0], [1, LEAF, LEAF], [2, LEAF, LEAF],
+                    [[0, 0], [1, 0], [0, 1]])
+        model = Node("tree_ensemble", [scaler.id],
+                     {"trees": [tree], "kind": "dt", "base_score": 0.0})
+        p = Pipeline({n.id: n for n in (inp, onehot, scaler, model)}, model.id, ["smoker"])
+        res = apply_data_induced_pruning(p, ColumnStats(cat_domains={"smoker": {"yes"}}))
+        assert tree_ensemble_size(res.pipeline) == 1
+        _assert_equiv(res.pipeline, p, frame[frame.smoker == "yes"])
 
     def test_partitioned_models_equivalent_per_partition(self, frame):
         p = _ir(frame, "dt", max_depth=8)

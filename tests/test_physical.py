@@ -14,6 +14,7 @@ from repro.ml.pipeline import fit_pipeline
 from repro.runtime import onnx_rt
 from repro.runtime.dnn_rt import compile_to_dnn, compile_tree
 from repro.runtime.gpu_sim import modeled_gpu_seconds
+from tests.boundaries import boundary_rows
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +91,32 @@ class TestMLtoSQL:
         # no CASE-encoded indicator should survive for one-hot splits
         assert "THEN 1.0 ELSE 0.0" not in sqlp.label_sql
 
+    def test_null_category_takes_absent_branch(self):
+        # one split on the 'a' indicator: present -> label 1, absent -> 0;
+        # a NULL sets no indicator in the runtime, so it is "absent" in SQL too
+        from repro.ir.graph import Node, Pipeline
+        from repro.ir.tree import LEAF, Tree
+
+        inp = Node("input", [], {"name": "c", "kind": "cat"})
+        onehot = Node("onehot", [inp.id], {"categories": ["a", "b"]})
+        tree = Tree([0, 0, 0], [0.5, 0, 0], [1, LEAF, LEAF], [2, LEAF, LEAF],
+                    [[0, 0], [1, 0], [0, 1]])
+        model = Node("tree_ensemble", [onehot.id],
+                     {"trees": [tree], "kind": "dt", "base_score": 0.0})
+        p = Pipeline({n.id: n for n in (inp, onehot, model)}, model.id, ["c"])
+        pdf = pd.DataFrame({"c": ["a", "b", None]})
+        label_sql, _ = _duck_eval(compile_to_sql(p), pdf)
+        np.testing.assert_array_equal(onnx_rt.run(p, pdf)[0], [1, 0, 0])
+        np.testing.assert_array_equal(label_sql, [1, 0, 0])
+
+    @pytest.mark.parametrize("kind", ["dt", "gb"])
+    def test_split_boundary_rows_match_runtime(self, frame, kind):
+        # rows on a split boundary: SQL must round as the runtime does
+        p = _ir(frame, kind, max_depth=6, n_estimators=8)
+        rows = boundary_rows(frame, p)
+        label_sql, _ = _duck_eval(compile_to_sql(p), rows)
+        np.testing.assert_array_equal(label_sql, onnx_rt.run(p, rows)[0])
+
     def test_string_literal_escaping(self):
         pdf = pd.DataFrame(
             {"c": ["o'brien", "smith"] * 200, "label": [1, 0] * 200}
@@ -133,6 +160,21 @@ class TestMLtoDNN:
         l_rt, s_rt = onnx_rt.run(p, frame)
         assert np.mean(l_dnn != l_rt) <= 0.008  # §7.4: < 0.8%
         assert np.isclose(s_dnn, s_rt, atol=1e-3).mean() >= 0.99
+
+    @pytest.mark.parametrize("kind", ["dt", "gb"])
+    @pytest.mark.parametrize("strategy,max_internal", [("gemm", 10**6), ("traversal", 0)])
+    def test_split_boundary_rows_match_runtime(
+        self, frame, kind, strategy, max_internal, monkeypatch
+    ):
+        # rows on a split boundary, through both tree strategies
+        import repro.runtime.dnn_rt as dnn_rt
+
+        monkeypatch.setattr(dnn_rt, "GEMM_MAX_INTERNAL", max_internal)
+        p = _ir(frame, kind, max_depth=6, n_estimators=8)
+        dnn = compile_to_dnn(p)
+        assert dnn.strategy == strategy
+        rows = boundary_rows(frame, p)
+        np.testing.assert_array_equal(dnn.predict(rows)[0], onnx_rt.run(p, rows)[0])
 
     def test_gemm_single_tree_structure(self, frame):
         p = _ir(frame, "dt", max_depth=4)

@@ -96,6 +96,26 @@ class TestHospitalEndToEnd:
         b = udf_df.groupBy("prediction").count().toPandas().set_index("prediction")
         assert abs(a["count"].sub(b["count"], fill_value=0)).sum() <= 0.006 * N_ROWS
 
+    def test_mltosql_on_split_boundaries_matches_runtime(self, spark, hospital_env):
+        # Spark evaluates the generated SQL with the runtime's own rounding
+        from pyspark.sql import functions as F
+
+        from repro.core.ml2sql import compile_to_sql
+        from repro.runtime import onnx_rt
+        from tests.boundaries import boundary_rows
+
+        spec, tables, catalog, frame = hospital_env
+        p = _pipeline(spec, frame, "dt", max_depth=8)
+        rows = boundary_rows(frame, p, n_rows=20)
+        rows = rows[p.input_cols].assign(_i=np.arange(len(rows)))
+        got = (
+            spark.createDataFrame(rows)
+            .select("_i", F.expr(compile_to_sql(p).label_sql).alias("prediction"))
+            .toPandas()
+            .sort_values("_i")
+        )
+        np.testing.assert_array_equal(got["prediction"], onnx_rt.run(p, rows)[0])
+
     def test_where_predicate_applied_and_model_pruned(self, spark, hospital_env):
         spec, tables, catalog, frame = hospital_env
         p = _pipeline(spec, frame, "dt", max_depth=10)
