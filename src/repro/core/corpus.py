@@ -140,7 +140,7 @@ def build_corpus(
                     con.register("t", eval_pdf)
                     reader = con.execute("SELECT * FROM t").fetch_record_batch(10_000)
                     for batch in reader:
-                        onnx_rt.run(p, batch.to_pandas())
+                        onnx_rt.run(p, batch)
                 finally:
                     con.close()
 

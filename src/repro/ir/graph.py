@@ -1,8 +1,8 @@
 """Raven's unified IR: an ONNX-like operator DAG for trained pipelines (§3).
 
 Nodes carry an ``op`` tag, an attribute dict, and input node ids. Data
-flowing between nodes is a 2-D batch: ``(n_rows, width)``; numeric values
-are float64, categorical columns are width-1 object arrays until a
+flowing between nodes is a 2-D batch of ``width`` columns; numeric values
+are float64, categorical columns are single string columns until a
 OneHotEncoder consumes them. Supported ops (1-1 with the ONNX(-ML)
 operators the paper lists in §3):
 

@@ -12,10 +12,11 @@ Hummingbird does (Nakandala et al., OSDI'20):
   left-edge ancestors.
 - ``Y = onehot(T == D) @ V``: gather leaf payloads.
 
-**(Perfect)TreeTraversal** (larger trees, where GEMM's dense
-node-by-feature matrices explode): all trees padded into stacked arrays
-and traversed level-synchronously with batched gather ops — ``depth``
-tensor iterations instead of ``n_trees x depth`` scalar-driven loops.
+**TreeTraversal** (larger trees, where GEMM's dense node-by-feature
+matrices explode): all trees stacked into flat node arrays and traversed
+level-synchronously with batched gather ops — ``depth`` tensor iterations
+instead of ``n_trees x depth`` scalar-driven loops. The traversal is the ML
+runtime's own (:class:`repro.runtime.onnx_rt.TreeStack`), held in float32.
 
 Featurization is not compiled here: :meth:`DnnModel.predict` calls the
 shared featurizer :func:`repro.runtime.onnx_rt.featurize` and casts its
@@ -31,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import pandas as pd
 
 from repro.ir.graph import Pipeline
 from repro.ir.tree import LEAF, Tree
@@ -111,37 +111,24 @@ GEMM_MAX_INTERNAL = 16
 
 @dataclass
 class TreeTravEnsemble:
-    """Padded stacked-tree tensors for the TreeTraversal strategy.
+    """The TreeTraversal strategy: every tree stacked into flat node arrays
+    (:class:`repro.runtime.onnx_rt.TreeStack`, the ML runtime's own
+    traversal) with float32 thresholds and payloads, so ``depth`` gather
+    iterations park every row at its leaf in every tree at once."""
 
-    Leaves self-loop (left == right == self), so ``depth`` gather
-    iterations park every row at its leaf regardless of tree shape.
-    """
-
-    feature: np.ndarray  # (T, N) int32
-    threshold: np.ndarray  # (T, N) float32
-    left: np.ndarray  # (T, N) int32
-    right: np.ndarray  # (T, N) int32
-    value: np.ndarray  # (T, N, n_out) float32
-    depth: int
+    stack: onnx_rt.TreeStack
 
     @property
     def n_trees(self) -> int:
-        return self.feature.shape[0]
+        return self.stack.n_trees
+
+    @property
+    def depth(self) -> int:
+        return max(self.stack.depth, 1)
 
     def run_sum(self, X: np.ndarray) -> np.ndarray:
-        """Sum of per-tree leaf payloads: (n, n_out)."""
-        n = X.shape[0]
-        T = self.n_trees
-        t_ar = np.arange(T)[None, :]  # (1, T)
-        idx = np.zeros((n, T), dtype=np.int32)
-        rows = np.arange(n)[:, None]
-        for _ in range(self.depth):
-            f = self.feature[t_ar, idx]  # (n, T)
-            xv = X[rows, f]
-            go_left = xv <= self.threshold[t_ar, idx]
-            idx = np.where(go_left, self.left[t_ar, idx], self.right[t_ar, idx])
-        vals = self.value[t_ar, idx]  # (n, T, n_out)
-        return vals.sum(axis=1, dtype=np.float64)
+        """Sum of per-tree leaf payloads: (n, n_out) float64."""
+        return self.stack.payload_sum(X, 0.0)
 
     def flops(self, n_rows: int) -> int:
         # gather/compare/select ops per level, per row, per tree
@@ -152,33 +139,13 @@ class TreeTravEnsemble:
         return 24 * n_rows * self.n_trees * self.depth
 
     def param_bytes(self) -> int:
-        return sum(
-            m.nbytes
-            for m in (self.feature, self.threshold, self.left, self.right, self.value)
-        )
+        # per node an int32 feature, left and right and a float32 threshold
+        return 16 * len(self.stack.feature) + self.stack.value.nbytes
 
 
 def compile_traversal(trees: list[Tree]) -> TreeTravEnsemble:
-    T = len(trees)
-    N = max(t.n_nodes for t in trees)
-    n_out = trees[0].n_out
-    feature = np.zeros((T, N), dtype=np.int32)
-    threshold = np.zeros((T, N), dtype=np.float32)
-    left = np.zeros((T, N), dtype=np.int32)
-    right = np.zeros((T, N), dtype=np.int32)
-    value = np.zeros((T, N, n_out), dtype=np.float32)
-    depth = 0
-    for ti, t in enumerate(trees):
-        n = t.n_nodes
-        feature[ti, :n] = t.feature
-        threshold[ti, :n] = _f32_at_most(t.threshold)
-        is_leaf = t.left == LEAF
-        self_idx = np.arange(n, dtype=np.int32)
-        left[ti, :n] = np.where(is_leaf, self_idx, t.left)
-        right[ti, :n] = np.where(is_leaf, self_idx, t.right)
-        value[ti, :n] = t.value
-        depth = max(depth, t.depth())
-    return TreeTravEnsemble(feature, threshold, left, right, value, max(depth, 1))
+    thresholds = [_f32_at_most(t.threshold) for t in trees]
+    return TreeTravEnsemble(onnx_rt.stack_trees(trees, thresholds, np.float32))
 
 
 @dataclass
@@ -199,8 +166,9 @@ class DnnModel:
     n_features: int = 0
 
     # -- execution ------------------------------------------------------
-    def predict(self, pdf: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
-        X = onnx_rt.featurize(self.pipeline, pdf).astype(np.float32)
+    def predict(self, batch: onnx_rt.Batch) -> tuple[np.ndarray, np.ndarray]:
+        """(label, score) for an Arrow batch or a pandas frame."""
+        X = onnx_rt.featurize(self.pipeline, batch).astype(np.float32)
         if self.kind == "lr":
             return onnx_rt.binary_output(X @ self.coef + self.intercept)
         if self.strategy == "traversal":

@@ -6,10 +6,16 @@ is either
 
 - a generated SQL expression (MLtoSQL path, pure Catalyst — Spark's
   optimizer then pushes the referenced columns/filters further), or
-- an Arrow-vectorized ``mapInPandas`` UDF driving an ML runtime over 10k-
+- an Arrow-vectorized ``mapInArrow`` UDF driving an ML runtime over 10k-
   row batches — the architecture of the paper's Raven Python UDF (§6),
   except that the model is not cached per process: it is pickled into
-  every task's closure.
+  every task's closure. The runtime reads each Arrow record batch as it
+  arrives (string columns come as ``string``, or as ``large_string`` under
+  ``spark.sql.execution.arrow.useLargeVarTypes``) and the UDF returns
+  only ``prediction`` and ``score``, so the model inputs cross the
+  JVM/Python boundary once. The partitioned-model path splits a batch by
+  Arrow filters on the partition column; the ``reference`` runtime
+  converts to pandas inside the mapper.
 
 Results are materialized with the ``noop`` data source (the stand-in for
 the paper's "write to HDFS" measurement sink — full execution, no local
@@ -19,14 +25,17 @@ from __future__ import annotations
 
 from typing import Iterator
 
+import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
-from pyspark.sql import types as T
 
 from repro.core.optimizer import PhysicalPlan
 from repro.core.predicate_pruning import Predicate
 from repro.core.query import PredictionQuery
+from repro.runtime import onnx_rt
 
 #: paper §6: vectorized-UDF batch size of 10k tuples
 UDF_BATCH_ROWS = 10_000
@@ -67,14 +76,8 @@ def build_input_df(
     return df.select(*select_cols)
 
 
-def _prediction_schema(df: DataFrame) -> T.StructType:
-    return T.StructType(
-        list(df.schema.fields)
-        + [
-            T.StructField("prediction", T.LongType()),
-            T.StructField("score", T.DoubleType()),
-        ]
-    )
+#: the UDF's output: the predictions alone, never the model inputs
+PREDICTION_SCHEMA = "prediction long, score double"
 
 
 def with_predict_udf(
@@ -84,53 +87,49 @@ def with_predict_udf(
     partition_models=None,
     partition_col: str | None = None,
 ) -> DataFrame:
-    """Attach prediction/score columns through the vectorized UDF."""
+    """``prediction``/``score`` of every row of ``df``, through the
+    vectorized Arrow UDF; the input columns are not returned."""
     if runtime == "dnn":
         from repro.runtime.dnn_rt import compile_to_dnn
 
-        dnn = compile_to_dnn(pipeline)
-
-        def run_batch(pdf: pd.DataFrame):
-            return dnn.predict(pdf)
+        run_batch = compile_to_dnn(pipeline).predict
 
     elif runtime == "reference":
         from repro.runtime import reference_rt
 
-        def run_batch(pdf: pd.DataFrame):
-            return reference_rt.run(pipeline, pdf)
+        def run_batch(batch: pa.RecordBatch):
+            return reference_rt.run(pipeline, batch.to_pandas())
+
+    elif partition_models is not None:
+        models = dict(partition_models.models)
+
+        def run_batch(batch: pa.RecordBatch):
+            label = np.zeros(batch.num_rows, dtype=np.int64)
+            score = np.zeros(batch.num_rows)
+            keys = batch.column(partition_col)
+            for v in pc.unique(keys).drop_null().to_pylist():
+                # rows with a NULL key match no partition and keep label 0
+                hit = pc.fill_null(pc.equal(keys, v), False)
+                rows = np.flatnonzero(hit.to_numpy(zero_copy_only=False))
+                label[rows], score[rows] = onnx_rt.run(models[str(v)], batch.filter(hit))
+            return label, score
 
     else:
-        from repro.runtime import onnx_rt
 
-        if partition_models is not None:
-            models = {v: m for v, m in partition_models.models.items()}
+        def run_batch(batch: pa.RecordBatch):
+            return onnx_rt.run(pipeline, batch)
 
-            def run_batch(pdf: pd.DataFrame):
-                import numpy as np
+    def mapper(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
+        for batch in batches:
+            label, score = run_batch(batch)
+            # typed as PREDICTION_SCHEMA: mapInArrow does not cast (the
+            # tensor runtime's linear scores are float32)
+            yield pa.RecordBatch.from_arrays(
+                [pa.array(label, pa.int64()), pa.array(score, pa.float64())],
+                names=["prediction", "score"],
+            )
 
-                label = pd.Series(0, index=pdf.index, dtype="int64")
-                score = pd.Series(0.0, index=pdf.index)
-                for v, part in pdf.groupby(partition_col, sort=False):
-                    m = models[str(v)]
-                    l, s = onnx_rt.run(m, part)
-                    label.loc[part.index] = l
-                    score.loc[part.index] = s
-                return label.to_numpy(), score.to_numpy()
-
-        else:
-
-            def run_batch(pdf: pd.DataFrame):
-                return onnx_rt.run(pipeline, pdf)
-
-    def mapper(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            label, score = run_batch(pdf)
-            out = pdf.copy()
-            out["prediction"] = label
-            out["score"] = score
-            yield out
-
-    return df.mapInPandas(mapper, schema=_prediction_schema(df))
+    return df.mapInArrow(mapper, schema=PREDICTION_SCHEMA)
 
 
 def execute_plan(catalog: dict[str, DataFrame], plan: PhysicalPlan) -> DataFrame:

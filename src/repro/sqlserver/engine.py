@@ -5,12 +5,18 @@ columnstore engine with a configurable degree of parallelism
 (``SET threads`` ~ DOP). Two execution paths:
 
 - :meth:`SqlServerSim.run_predict_statement` — the *un-optimized* baseline:
-  the relational part runs as SQL, result batches stream into the ML
-  runtime (our ONNX-Runtime substitute), mirroring SQL Server's PREDICT
-  that invokes ONNX Runtime per batch.
+  the relational part runs as SQL, and its 10k-row Arrow record batches
+  go straight into the ML runtime (our ONNX-Runtime substitute, which
+  reads Arrow; no pandas conversion), mirroring SQL Server's PREDICT that
+  invokes ONNX Runtime per batch.
 - :meth:`SqlServerSim.run_raven_sql` — Raven's output: the whole optimized
   prediction query (including the MLtoSQL-translated model) as one SQL
   statement the engine plans end-to-end.
+
+WHERE constants are written by :func:`repro.core.ml2sql._lit`: strings
+with quotes doubled, numbers in E-notation, which DuckDB parses as the
+exact DOUBLE (a plain decimal literal parses as DECIMAL and can land one
+ulp off after the cast, moving rows that sit on the constant).
 
 Per the paper's protocol, prediction queries on this engine end in an
 aggregate over the predictions (``GROUP BY prediction``), so timings don't
@@ -25,6 +31,7 @@ import duckdb
 import numpy as np
 import pandas as pd
 
+from repro.core.ml2sql import _lit
 from repro.core.optimizer import PhysicalPlan
 from repro.core.predicate_pruning import Predicate
 from repro.core.query import PredictionQuery
@@ -35,8 +42,7 @@ PREDICT_BATCH_ROWS = 10_000
 
 
 def _pred_sql(p: Predicate) -> str:
-    v = f"'{p.value}'" if isinstance(p.value, str) else repr(float(p.value))
-    return f"{p.col} {p.op} {v}"
+    return f"{p.col} {p.op} {_lit(p.value)}"
 
 
 def data_select_sql(query: PredictionQuery, cols: list[str]) -> str:
@@ -84,8 +90,7 @@ class SqlServerSim:
         reader = self.con.execute(sql).fetch_record_batch(PREDICT_BATCH_ROWS)
         counts: dict[int, int] = {}
         for batch in reader:
-            pdf = batch.to_pandas()
-            label, _ = onnx_rt.run(pipeline, pdf)
+            label, _ = onnx_rt.run(pipeline, batch)
             if query.output_filter is not None:
                 label = label[label == int(query.output_filter[1])]
             for k, c in zip(*np.unique(label, return_counts=True)):

@@ -142,6 +142,23 @@ class TestHospitalEndToEnd:
         ).toPandas()
         assert len(out) == int((base["prediction"] == 1).sum())
 
+    @pytest.mark.parametrize("runtime", ["onnx", "dnn", "reference"])
+    @pytest.mark.parametrize("kind", ["lr", "dt"])
+    def test_udf_returns_typed_predictions_only(self, hospital_env, runtime, kind):
+        # the tensor runtime scores linear models in float32; the UDF must
+        # still hand Spark the declared long/double columns
+        from repro.runtime import onnx_rt
+
+        spec, tables, catalog, frame = hospital_env
+        p = _pipeline(spec, frame, kind, max_depth=5, l1=0.02)
+        df = spark_exec.build_input_df(catalog, dataset_query(spec, p, tables), p.input_cols)
+        out = spark_exec.with_predict_udf(df, p, runtime=runtime)
+        assert out.columns == ["prediction", "score"]
+        got = out.toPandas()
+        label, _ = onnx_rt.run(p, frame)
+        assert np.bincount(got["prediction"], minlength=2).tolist() == np.bincount(
+            label, minlength=2).tolist()
+
     def test_partitioned_models_equal_global(self, spark, hospital_env):
         spec, tables, catalog, frame = hospital_env
         p = _pipeline(spec, frame, "dt", max_depth=10)

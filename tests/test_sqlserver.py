@@ -6,11 +6,13 @@ import pandas as pd
 import pytest
 
 from repro.core.optimizer import OptimizerConfig, RavenOptimizer
+from repro.core.parser import parse_prediction_query
 from repro.core.predicate_pruning import Predicate
 from repro.core.session import dataset_query
 from repro.data import datasets as ds
 from repro.ir.builder import build_pipeline_ir
 from repro.ml.pipeline import fit_pipeline
+from repro.runtime import onnx_rt
 from repro.sqlserver.engine import SqlServerSim, data_select_sql
 from repro.sqlserver.madlib import madlib_supported, run_madlib
 
@@ -49,7 +51,8 @@ class TestDataSelectSql:
         )
         sql = data_select_sql(q, ["price_usd"])
         assert "JOIN hotels ON searches.prop_id = hotels.prop_id" in sql
-        assert "WHERE price_usd > 100.0" in sql
+        # E-notation: DuckDB parses it as the exact DOUBLE, not a DECIMAL
+        assert "WHERE price_usd > 1.00000000000000000e+02" in sql
 
 
 class TestSqlServerSim:
@@ -104,6 +107,61 @@ class TestSqlServerSim:
         finally:
             eng.close()
         pd.testing.assert_frame_equal(base.agg, opt.agg)
+
+    def _counts(self, tables, q, p):
+        eng = SqlServerSim(tables, threads=2)
+        try:
+            res = eng.run_predict_statement(q, p)
+        finally:
+            eng.close()
+        return dict(zip(res.agg["prediction"].tolist(), res.agg["n"].tolist()))
+
+    def test_where_matching_no_row(self, hosp):
+        spec, tables, frame = hosp
+        p = _ir(spec, frame, "dt", max_depth=5)
+        q = dataset_query(spec, p, tables, where=[Predicate("bmi", ">", 1e9)])
+        assert self._counts(tables, q, p) == {}
+
+    def test_output_filter_prediction_1(self, hosp):
+        spec, tables, frame = hosp
+        p = _ir(spec, frame, "gb", max_depth=3, n_estimators=10)
+        q = dataset_query(spec, p, tables, output_filter=("prediction", 1))
+        label, _ = onnx_rt.run(p, frame)
+        assert self._counts(tables, q, p) == {1: int((label == 1).sum())}
+
+    def test_quoted_string_literal(self):
+        rng = np.random.default_rng(3)
+        names = rng.choice(["O'Brien", "Smith", "D'Arcy"], 300)
+        t = pd.DataFrame({"name": names, "x": rng.normal(size=300)})
+        t["label"] = (t.x > 0).astype(int)
+        p = build_pipeline_ir(fit_pipeline(t, ["x"], ["name"], "label", "dt", max_depth=3))
+        tables = {"people": t.drop(columns="label")}
+        q = parse_prediction_query(
+            "SELECT PREDICT(m, *) FROM people WHERE name = 'O''Brien'",
+            {"m": p}, {"people": ["name", "x"]},
+        )
+        assert q.where[0].value == "O'Brien"
+        assert sum(self._counts(tables, q, p).values()) == (names == "O'Brien").sum()
+
+    def test_numeric_constant_on_a_row_value(self):
+        """A WHERE constant equal to a stored double keeps that row: DuckDB
+        reads a plain decimal literal as DECIMAL, whose cast to DOUBLE is
+        one ulp off for some values."""
+        rng = np.random.default_rng(8)
+        t = pd.DataFrame({"x": rng.uniform(0, 100, 400) * np.exp(rng.uniform(-5, 5, 400))})
+        t["label"] = (t.x > 10).astype(int)
+        p = build_pipeline_ir(fit_pipeline(t, ["x"], [], "label", "lr"))
+        tables = {"t": t.drop(columns="label")}
+        eng = SqlServerSim(tables, threads=2)
+        try:
+            for v in t.x.to_numpy()[:60]:
+                q = parse_prediction_query(
+                    f"SELECT PREDICT(m, *) FROM t WHERE x >= {v!r}", {"m": p}, {"t": ["x"]}
+                )
+                got = eng.run_predict_statement(q, p).agg["n"].sum()
+                assert got == (t.x >= v).sum(), v
+        finally:
+            eng.close()
 
 
 class TestMadlib:
