@@ -12,12 +12,15 @@ FLOAT) <= thr``, the runtime's own operation order and float32 cast; a
 split on a one-hot slot simplifies to ``col = 'cat'`` instead of
 materializing the indicator.
 
-NULL semantics follow the ML runtime (:mod:`repro.runtime.onnx_rt`). A
-NULL categorical value sets no one-hot indicator, so it takes the
-"category absent" branch of every one-hot split: the split is always
-written ``CASE WHEN col = 'cat' THEN <present> ELSE <absent> END``, and a
-NULL comparison falls to ELSE. A NULL numeric value takes the right
-branch of every split, as NaN does in the runtime's ``x <= thr``.
+NULL semantics follow the ML runtime (:mod:`repro.runtime.onnx_rt`), which
+reads a NULL categorical value as the string ``'None'``. So a NULL sets
+only the indicator of a category ``'None'`` (one learned from NULLs in
+training), and takes the "category absent" branch of every other one-hot
+split: the split is written ``CASE WHEN col = 'cat' THEN <present> ELSE
+<absent> END``, where a NULL comparison falls to ELSE, and for the one
+category ``'None'`` as ``COALESCE(col, 'None') = 'None'``. A NULL numeric
+value takes the right branch of every split, as NaN does in the
+runtime's ``x <= thr``.
 
 The compiler translates the entire pipeline or raises (the paper's "whole
 model pipeline or fail" contract); the caller falls back to the ML runtime.
@@ -66,6 +69,12 @@ def _sum_sql(parts: list[str]) -> str:
     return f"({_sum_sql(parts[:mid])} + {_sum_sql(parts[mid:])})"
 
 
+def _is_category_sql(s: Slot) -> str:
+    """``col = 'cat'`` for a one-hot slot; NULL matches only ``'None'``."""
+    col = f"COALESCE({s.source}, 'None')" if s.category == "None" else s.source
+    return f"{col} = {_lit(s.category)}"
+
+
 def _slot_value_sql(s: Slot) -> str:
     """SQL for the slot's numeric value: each Scaler applied in the
     runtime's order, ``(x - offset) * scale``, so the double arithmetic
@@ -75,7 +84,7 @@ def _slot_value_sql(s: Slot) -> str:
     if s.kind == "num":
         expr = f"CAST({s.source} AS DOUBLE)"
     else:  # one-hot indicator
-        expr = f"(CASE WHEN {s.source} = {_lit(s.category)} THEN 1.0 ELSE 0.0 END)"
+        expr = f"(CASE WHEN {_is_category_sql(s)} THEN 1.0 ELSE 0.0 END)"
     for off, sc in s.scalers:
         expr = f"(({expr} - {_lit(off)}) * {_lit(sc)})"
     return expr
@@ -85,7 +94,7 @@ def _slot_le_sql(s: Slot, thr: float) -> bool | tuple[str, bool]:
     """SQL for the split ``slot_value <= thr``: True/False when static,
     else ``(cond, cond_is_le)``. Rows where ``cond`` is TRUE take the left
     child when ``cond_is_le``, the right one otherwise; FALSE and NULL rows
-    take the other child. A one-hot ``cond`` is always ``col = 'cat'``."""
+    take the other child. A one-hot ``cond`` is :func:`_is_category_sql`."""
     if s.kind == "const":
         return bool(s.const <= thr)
     if s.kind == "num":
@@ -95,7 +104,7 @@ def _slot_le_sql(s: Slot, thr: float) -> bool | tuple[str, bool]:
     le_if_present = bool(np.float32(s.a + s.b) <= thr)
     if le_if_absent == le_if_present:
         return le_if_absent
-    return f"{s.source} = {_lit(s.category)}", le_if_present
+    return _is_category_sql(s), le_if_present
 
 
 def _tree_case_sql(t: Tree, slots: list[Slot], leaf_sql) -> str:

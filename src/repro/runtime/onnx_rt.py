@@ -65,11 +65,26 @@ def _strings(col: pa.Array) -> pa.Array:
     return pc.fill_null(col, "None") if col.null_count else col
 
 
+def _codes(col: pa.Array, categories: list[str]) -> np.ndarray:
+    """Each value's position among ``categories``, -1 outside them. A
+    dictionary column is looked up as its decoded strings would be: its
+    dictionary once, then a take by index (a NULL index is ``'None'``)."""
+    if pa.types.is_dictionary(col.type):
+        lookup = _codes(col.dictionary, categories)
+        null_code = categories.index("None") if "None" in categories else -1
+        idx = col.indices
+        if col.null_count:
+            idx = pc.fill_null(idx.cast(pa.int64()), len(lookup))
+        return np.append(lookup, null_code)[idx.to_numpy()]
+    col = _strings(col)
+    codes = pc.index_in(col, value_set=pa.array(categories, col.type))
+    return (pc.fill_null(codes, -1) if codes.null_count else codes).to_numpy()
+
+
 def _onehot(col: pa.Array, categories: list[str]) -> np.ndarray:
     """Indicator block, one row per category: hash lookup of each value
     among ``categories``; a value outside them sets no indicator."""
-    codes = pc.index_in(col, value_set=pa.array(categories, col.type))
-    codes = (pc.fill_null(codes, -1) if codes.null_count else codes).to_numpy()
+    codes = _codes(col, categories)
     out = np.zeros((len(categories), len(col)), dtype=np.float64)
     rows = np.flatnonzero(codes >= 0)
     out[codes[rows], rows] = 1.0
@@ -83,7 +98,8 @@ def featurize(p: Pipeline, batch: Batch) -> np.ndarray:
 
     A categorical value outside a one-hot's categories (NULL included: it
     becomes the string ``'None'``) sets none of that block's indicators;
-    a numeric NULL is NaN.
+    a numeric NULL is NaN. A dictionary-encoded categorical column gives
+    the same matrix as its decoded strings.
     """
     if isinstance(batch, pd.DataFrame):
         batch = arrow_batch(p, batch)
@@ -98,7 +114,7 @@ def featurize(p: Pipeline, batch: Batch) -> np.ndarray:
                 x = col.to_numpy(zero_copy_only=False)
                 values[nid] = x.astype(np.float64, copy=False)[None, :]
             else:
-                values[nid] = _strings(col)
+                values[nid] = col
         elif op == "constant":
             v = node.attrs["value"]
             if isinstance(v, str):

@@ -10,6 +10,7 @@ from repro.core.ml2sql import compile_to_sql
 from repro.core.predicate_pruning import Predicate, apply_predicate_pruning
 from repro.core.projection_pushdown import apply_projection_pushdown
 from repro.ir.builder import build_pipeline_ir
+from repro.ir.slots import model_input_slots
 from repro.ml.pipeline import fit_pipeline
 from repro.runtime import onnx_rt
 from repro.runtime.dnn_rt import compile_to_dnn, compile_tree
@@ -108,6 +109,22 @@ class TestMLtoSQL:
         label_sql, _ = _duck_eval(compile_to_sql(p), pdf)
         np.testing.assert_array_equal(onnx_rt.run(p, pdf)[0], [1, 0, 0])
         np.testing.assert_array_equal(label_sql, [1, 0, 0])
+
+    @pytest.mark.parametrize(
+        "kind,kw",
+        [("lr", {}), ("dt", {"max_depth": 6}), ("gb", {"max_depth": 3, "n_estimators": 15})],
+    )
+    def test_null_rows_match_a_category_learned_from_nulls(self, frame, kind, kw):
+        # the runtime reads NULL as 'None', so a NULL row sets the 'None'
+        # indicator; labels of NULL rows are flipped so the model uses it
+        pdf = frame.astype({"ward": object})
+        nulls = pdf.index[::7]
+        pdf.loc[nulls, "ward"] = None
+        pdf.loc[nulls, "label"] = 1 - pdf.loc[nulls, "label"]
+        p = _ir(pdf, kind, **kw)
+        assert any(s.category == "None" for s in model_input_slots(p))
+        label_sql, _ = _duck_eval(compile_to_sql(p), pdf)
+        np.testing.assert_array_equal(label_sql, onnx_rt.run(p, pdf)[0])
 
     @pytest.mark.parametrize("kind", ["dt", "gb"])
     def test_split_boundary_rows_match_runtime(self, frame, kind):

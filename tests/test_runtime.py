@@ -204,3 +204,69 @@ class TestFeaturizerAdapters:
         pdf = frame.head(3).assign(ward=[1.0, 2.0, 3.0])
         X = self._assert_same(p, pdf, pa.RecordBatch.from_pandas(pdf))
         assert not self._block(p, X, "ward").any()
+
+
+class TestDictionaryInput:
+    """A dictionary-encoded categorical column featurizes bit for bit as
+    its decoded strings do (a NULL index decodes to NULL, read as 'None')."""
+
+    @pytest.fixture(scope="class")
+    def p(self, frame):
+        # 'None' is a category, learned from NULLs in training
+        train = frame.astype({"smoker": object})
+        train.loc[train.index[::7], "smoker"] = None
+        return _ir(train, "dt", max_depth=6)
+
+    def _assert_same(self, p, frame, smoker):
+        base = pa.RecordBatch.from_pandas(
+            frame.head(len(smoker)).drop(columns="smoker"), preserve_index=False
+        )
+        a = onnx_rt.featurize(p, base.append_column("smoker", smoker))
+        b = onnx_rt.featurize(p, base.append_column("smoker", smoker.dictionary_decode()))
+        assert a.shape == b.shape == (len(smoker), p.n_model_features())
+        np.testing.assert_array_equal(a, b)
+        return a
+
+    def _none_slot(self, p, X):
+        (col,) = [i for i, s in enumerate(model_input_slots(p))
+                  if s.kind == "onehot" and s.source == "smoker" and s.category == "None"]
+        return X[:, col]
+
+    @staticmethod
+    def _dict(indices, dictionary, index_type=pa.int8()):
+        return pa.DictionaryArray.from_arrays(
+            pa.array(indices, index_type), pa.array(dictionary, pa.string())
+        )
+
+    def test_null_indices(self, p, frame):
+        col = self._dict([0, None, 1, None, 2], ["no", "yes", "quit"])
+        X = self._assert_same(p, frame, col)
+        np.testing.assert_array_equal(self._none_slot(p, X), [0, 1, 0, 1, 0])
+
+    def test_dictionary_holding_none(self, p, frame):
+        X = self._assert_same(p, frame, self._dict([0, 1, 0, 1], ["None", "yes"]))
+        np.testing.assert_array_equal(self._none_slot(p, X), [1, 0, 1, 0])
+
+    def test_entries_outside_the_categories(self, p, frame):
+        X = self._assert_same(p, frame, self._dict([0, 1, 2, 1, 3], ["never", "no", "?", "~~~~~"]))
+        block = X[:, [i for i, s in enumerate(model_input_slots(p))
+                      if s.kind == "onehot" and s.source == "smoker"]]
+        np.testing.assert_array_equal(block.sum(axis=1), [0, 1, 0, 1, 0])
+
+    def test_unused_entries(self, p, frame):
+        self._assert_same(p, frame, self._dict([1, 1, 2], ["quit", "no", "yes", "x", "y"]))
+
+    @pytest.mark.parametrize("index_type", [pa.int8(), pa.int32()])
+    def test_index_types(self, p, frame, index_type):
+        rng = np.random.default_rng(6)
+        indices = rng.integers(0, 5, 300).tolist()
+        for i in range(0, 300, 11):
+            indices[i] = None
+        self._assert_same(
+            p, frame, self._dict(indices, ["~", "no", "yes", "quit", "None"], index_type)
+        )
+
+    def test_zero_rows(self, p, frame):
+        X = self._assert_same(p, frame, self._dict([], ["no", "yes"]))
+        label, score = onnx_rt.predict(p.model_node, X)
+        assert label.shape == score.shape == (0,)

@@ -116,6 +116,31 @@ class TestHospitalEndToEnd:
         )
         np.testing.assert_array_equal(got["prediction"], onnx_rt.run(p, rows)[0])
 
+    def test_mltosql_null_rows_match_a_category_learned_from_nulls(self, spark, hospital_env):
+        from pyspark.sql import functions as F
+
+        from repro.core.ml2sql import compile_to_sql
+        from repro.runtime import onnx_rt
+
+        spec, tables, catalog, frame = hospital_env
+        # no category domains: 'ward' learns the category 'None' from its NULLs,
+        # and the flipped labels of those rows make the model split on it
+        rows = frame.astype({"ward": object})
+        nulls = rows.index[::7]
+        rows.loc[nulls, "ward"] = None
+        rows.loc[nulls, ds.LABEL] = 1 - rows.loc[nulls, ds.LABEL]
+        p = build_pipeline_ir(fit_pipeline(
+            rows, spec.num_cols, spec.cat_cols, ds.LABEL, "dt", max_depth=8
+        ))
+        rows = rows[p.input_cols].assign(_i=np.arange(len(rows)))
+        got = (
+            spark.createDataFrame(rows)
+            .select("_i", F.expr(compile_to_sql(p).label_sql).alias("prediction"))
+            .toPandas()
+            .sort_values("_i")
+        )
+        np.testing.assert_array_equal(got["prediction"], onnx_rt.run(p, rows)[0])
+
     def test_where_predicate_applied_and_model_pruned(self, spark, hospital_env):
         spec, tables, catalog, frame = hospital_env
         p = _pipeline(spec, frame, "dt", max_depth=10)

@@ -3,17 +3,20 @@ baseline: result parity across paths, DOP control, and the PostgreSQL
 column-limit behaviour the paper reports."""
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 from repro.core.optimizer import OptimizerConfig, RavenOptimizer
 from repro.core.parser import parse_prediction_query
 from repro.core.predicate_pruning import Predicate
+from repro.core.query import Join, PredictionQuery
 from repro.core.session import dataset_query
 from repro.data import datasets as ds
 from repro.ir.builder import build_pipeline_ir
 from repro.ml.pipeline import fit_pipeline
 from repro.runtime import onnx_rt
-from repro.sqlserver.engine import SqlServerSim, data_select_sql
+from repro.sqlserver import engine
+from repro.sqlserver.engine import SqlServerSim, data_select_sql, encoded_scan
 from repro.sqlserver.madlib import madlib_supported, run_madlib
 
 
@@ -162,6 +165,171 @@ class TestSqlServerSim:
                 assert got == (t.x >= v).sum(), v
         finally:
             eng.close()
+
+    def test_model_without_inputs(self):
+        """An all-zero L1 model projects every input away; the scan still
+        yields one row per qualifying row."""
+        rng = np.random.default_rng(2)
+        t = pd.DataFrame({"x": rng.normal(size=200), "c": rng.choice(["a", "b"], 200)})
+        t["label"] = (rng.random(200) < 0.3).astype(int)
+        p = build_pipeline_ir(fit_pipeline(t, ["x"], ["c"], "label", "lr", l1=50.0))
+        q = parse_prediction_query(
+            "SELECT PREDICT(m, *) FROM t WHERE x > 0", {"m": p}, {"t": ["x", "c"]}
+        )
+        eng = SqlServerSim({"t": t.drop(columns="label")}, threads=2)
+        try:
+            for runtime in ("none", "sql"):
+                plan = RavenOptimizer(OptimizerConfig(runtime=runtime)).optimize(q)
+                assert plan.input_cols == [] and plan.runtime == runtime
+                res = (eng.run_raven_sql if runtime == "sql" else eng.run_raven_predict)(plan)
+                assert dict(zip(res.agg["prediction"], res.agg["n"])) == {0: (t.x > 0).sum()}
+        finally:
+            eng.close()
+
+
+@pytest.fixture(scope="module")
+def star():
+    """A fact and two dims: NULLs in a dim categorical, a 300-category fact
+    column and an integer-typed categorical."""
+    rng = np.random.default_rng(17)
+    n, n_cust, n_prod = 3000, 200, 40
+    customers = pd.DataFrame({
+        "cust_id": np.arange(n_cust),
+        "region": rng.choice(["north", "south", "east"], n_cust).astype(object),
+        "age": rng.uniform(18, 90, n_cust),
+    })
+    customers.loc[::9, "region"] = None
+    products = pd.DataFrame({
+        "prod_id": np.arange(n_prod),
+        "category": rng.choice(["toys", "food", "tools"], n_prod),
+        "grade": rng.integers(1, 4, n_prod),
+    })
+    orders = pd.DataFrame({
+        "cust_id": rng.integers(0, n_cust, n),
+        "prod_id": rng.integers(0, n_prod, n),
+        "amount": rng.exponential(50, n),
+        "channel": rng.choice(["web", "store", "phone"], n),
+        "sku": [f"s{v}" for v in rng.integers(0, 300, n)],
+    })
+    frame = orders.merge(customers, on="cust_id").merge(products, on="prod_id")
+    frame["label"] = (
+        (frame.amount > 40) & (frame.region.isna() | (frame.region == "south"))
+        | (frame.channel == "web") & (frame.grade > 1)
+        | frame.sku.isin([f"s{i}" for i in range(0, 300, 3)])
+        | (frame.category == "toys") & (frame.age > 50)
+    ).astype(int)
+    tables = {"orders": orders, "customers": customers, "products": products}
+    return tables, frame
+
+
+def _star_query(tables, p, where=()):
+    return PredictionQuery(
+        fact="orders",
+        pipeline=p,
+        joins=[Join("customers", "cust_id", "cust_id"), Join("products", "prod_id", "prod_id")],
+        where=list(where),
+        table_cols={name: list(t.columns) for name, t in tables.items()},
+    )
+
+
+class TestEncodedScan:
+    """``run_raven_predict`` looks one-hot columns up in the engine; its
+    counts equal the string scan's on the same optimized pipeline."""
+
+    CATS = ["channel", "sku", "region", "category"]
+
+    @staticmethod
+    def _fit(frame, kind, cats):
+        kw = {"dt": {"max_depth": 8}, "gb": {"max_depth": 3, "n_estimators": 10}}.get(kind, {})
+        return build_pipeline_ir(fit_pipeline(
+            frame, ["amount", "age"], cats, "label", kind,
+            # 'fax' is a model category absent from the data
+            cat_domains={"channel": ["web", "store", "phone", "fax"]}, **kw,
+        ))
+
+    @pytest.fixture(scope="class")
+    def models(self, star):
+        return {kind: self._fit(star[1], kind, self.CATS) for kind in ("lr", "dt", "gb")}
+
+    def _check(self, tables, plan, encoded):
+        eng = SqlServerSim(tables, threads=2)
+        try:
+            scan = encoded_scan(plan.query, plan.pipeline, eng.types)
+            assert (scan is not None) == encoded
+            base = eng.run_predict_statement(plan.query, plan.pipeline)
+            got = eng.run_raven_predict(plan)
+        finally:
+            eng.close()
+        pd.testing.assert_frame_equal(base.agg, got.agg)
+        return scan, base.agg
+
+    @pytest.mark.parametrize("kind", ["lr", "dt", "gb"])
+    @pytest.mark.parametrize("where", [
+        (),
+        (Predicate("channel", "=", "web"), Predicate("region", "=", "south")),
+        (Predicate("amount", ">", 1e9),),
+    ], ids=["all", "eq", "empty"])
+    @pytest.mark.parametrize("cfg", [
+        OptimizerConfig(runtime="none"),
+        # WHERE columns stay model inputs, so their filters run on encoded columns
+        OptimizerConfig(enable_predicate_pruning=False, runtime="none"),
+        # every category stays, 'fax' included
+        OptimizerConfig.no_opt(),
+    ], ids=["raven", "no-predicate-pruning", "no-opt"])
+    def test_counts_equal_string_scan(self, star, models, kind, where, cfg):
+        tables, _ = star
+        plan = RavenOptimizer(cfg).optimize(_star_query(tables, models[kind], where))
+        scan, agg = self._check(tables, plan, encoded=True)
+        assert set(scan.dictionaries) == set(self.CATS) & set(plan.input_cols)
+        if where and where[0].value == 1e9:
+            assert agg.empty
+        else:
+            assert agg["n"].sum() > 0
+
+    def test_codes_past_int8(self, star, models):
+        tables, _ = star
+        plan = RavenOptimizer(OptimizerConfig.no_opt()).optimize(
+            _star_query(tables, models["lr"])
+        )
+        scan, _ = self._check(tables, plan, encoded=True)
+        assert len(scan.dictionaries["sku"]) > 256
+        assert "None" in scan.dictionaries["region"].to_pylist()  # learned from NULLs
+        assert "fax" in scan.dictionaries["channel"].to_pylist()  # not in the data
+        assert "AS SMALLINT) AS sku" in scan.sql
+
+    def test_integer_categorical_takes_string_scan(self, star):
+        tables, frame = star
+        p = self._fit(frame, "dt", self.CATS + ["grade"])
+        plan = RavenOptimizer(OptimizerConfig(runtime="none")).optimize(_star_query(tables, p))
+        assert "grade" in plan.input_cols
+        self._check(tables, plan, encoded=False)
+
+    def test_expedia_plan_is_encoded(self, monkeypatch):
+        spec = ds.get_spec("expedia")
+        tables = ds.generate("expedia", 2000, seed=64)
+        frame = ds.joined_frame("expedia", 2000, seed=64)
+        p = _ir(spec, frame, "dt", max_depth=6)
+        plan = RavenOptimizer(OptimizerConfig(runtime="none")).optimize(
+            dataset_query(spec, p, tables)
+        )
+        cats = [c for c in plan.input_cols if c in spec.cat_cols]
+        assert cats and plan.query.joins
+        seen, real_run = [], onnx_rt.run
+
+        def run(pipeline, batch):
+            seen.append(batch.schema)
+            return real_run(pipeline, batch)
+
+        monkeypatch.setattr(engine.onnx_rt, "run", run)
+        eng = SqlServerSim(tables, threads=2)
+        try:
+            eng.run_raven_predict(plan)
+        finally:
+            eng.close()
+        assert seen
+        for schema in seen:
+            for c in cats:
+                assert pa.types.is_dictionary(schema.field(c).type), c
 
 
 class TestMadlib:
