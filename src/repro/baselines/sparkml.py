@@ -4,13 +4,11 @@ StandardScaler over the numerics, and {LogisticRegression,
 DecisionTreeClassifier, GBTClassifier}. Inference is ``model.transform``
 over the joined DataFrame, exactly the paper's SparkML comparator.
 
-Fitted models are cached on disk (pyspark.ml native save/load) keyed by
-dataset + model settings, since benchmarks re-time inference only.
+Fitted models are kept in the artifact cache (:mod:`repro.cache`, with
+pyspark.ml's native save/load) keyed by dataset + model settings, since
+benchmarks re-time inference only.
 """
 from __future__ import annotations
-
-import hashlib
-import os
 
 from pyspark.ml import Pipeline as MLPipeline
 from pyspark.ml import PipelineModel
@@ -27,12 +25,8 @@ from pyspark.ml.feature import (
 )
 from pyspark.sql import DataFrame, SparkSession
 
+from repro.cache import cached
 from repro.data.datasets import LABEL, DatasetSpec
-
-_CACHE_DIR = os.environ.get(
-    "REPRO_MODEL_CACHE",
-    os.path.join(os.path.dirname(__file__), "..", "..", "..", ".model_cache"),
-)
 
 
 def _stages(spec: DatasetSpec, kind: str, hp: dict):
@@ -83,16 +77,12 @@ def train_sparkml(
     spark: SparkSession, spec: DatasetSpec, train_df: DataFrame, kind: str, **hp
 ) -> PipelineModel:
     """Fit (or load from cache) the pyspark.ml pipeline."""
-    tag = hashlib.sha1(
-        f"{spec.name}/{kind}/{sorted(hp.items())!r}".encode()
-    ).hexdigest()[:16]
-    path = os.path.join(_CACHE_DIR, f"sparkml_{tag}")
-    if os.path.exists(path):
-        return PipelineModel.load(path)
-    model = MLPipeline(stages=_stages(spec, kind, hp)).fit(train_df)
-    os.makedirs(_CACHE_DIR, exist_ok=True)
-    model.write().overwrite().save(path)
-    return model
+    return cached(
+        "sparkml", (spec.name, kind, sorted(hp.items())),
+        lambda: MLPipeline(stages=_stages(spec, kind, hp)).fit(train_df),
+        load=PipelineModel.load,
+        save=lambda model, path: model.write().overwrite().save(path),
+    )
 
 
 def predict_sparkml(model: PipelineModel, df: DataFrame) -> DataFrame:

@@ -1,4 +1,4 @@
-"""Timing + reporting helpers shared by jobs/ and benchmarks/.
+"""Timing + reporting helpers shared by the experiment harnesses and benchmarks/.
 
 The paper reports "the trimmed mean of the execution time of five runs,
 removing the lowest and highest runtimes". :func:`timeit_trimmed`

@@ -10,12 +10,11 @@ pipeline under {none, MLtoSQL, MLtoDNN} **on this machine** — the paper's
 own protocol ("users can go through this process once to fine-tune the
 strategy on their workload and hardware").
 
-Measurements are cached on disk; everything is deterministic in the seed.
+Measurements are kept in the artifact cache (:mod:`repro.cache`); the
+pipelines and their features are deterministic in the seed.
 """
 from __future__ import annotations
 
-import os
-import pickle
 import time
 from dataclasses import dataclass
 
@@ -23,6 +22,7 @@ import duckdb
 import numpy as np
 import pandas as pd
 
+from repro.cache import cached
 from repro.core.features import pipeline_features
 from repro.core.ml2sql import compile_to_sql
 from repro.ir.builder import build_pipeline_ir
@@ -31,11 +31,6 @@ from repro.runtime import onnx_rt
 from repro.runtime.dnn_rt import compile_to_dnn
 
 OPTIONS = ("none", "sql", "dnn")
-
-_CACHE_DIR = os.environ.get(
-    "REPRO_MODEL_CACHE",
-    os.path.join(os.path.dirname(__file__), "..", "..", "..", ".model_cache"),
-)
 
 
 @dataclass
@@ -106,23 +101,9 @@ def _corpus_pipelines(n_pipelines: int, n_rows_train: int, n_rows_eval: int,
         yield p, eval_pdf
 
 
-def _load_or_build(path: str, cache: bool, builder) -> list[CorpusEntry]:
-    if cache and os.path.exists(path):
-        with open(path, "rb") as f:
-            return pickle.load(f)
-    entries = builder()
-    if cache:
-        os.makedirs(_CACHE_DIR, exist_ok=True)
-        tmp = path + f".tmp{os.getpid()}"
-        with open(tmp, "wb") as f:
-            pickle.dump(entries, f)
-        os.replace(tmp, path)
-    return entries
-
-
 def build_corpus(
     n_pipelines: int = 120, *, n_rows_train: int = 1500, n_rows_eval: int = 20_000,
-    seed: int = 7, cache: bool = True,
+    seed: int = 7,
 ) -> list[CorpusEntry]:
     """Corpus priced on the single-node engine paths — used by the SQL
     Server experiments. The "none" option is priced the way the engine
@@ -164,15 +145,12 @@ def build_corpus(
             entries.append(CorpusEntry(pipeline_features(p), runtimes))
         return entries
 
-    return _load_or_build(
-        os.path.join(_CACHE_DIR, f"corpus_v2_{n_pipelines}_{n_rows_eval}_{seed}.pkl"),
-        cache, build,
-    )
+    return cached("corpus", (n_pipelines, n_rows_train, n_rows_eval, seed), build)
 
 
 def build_corpus_spark(
     spark, n_pipelines: int = 120, *, n_rows_train: int = 1500,
-    n_rows_eval: int = 20_000, seed: int = 7, cache: bool = True,
+    n_rows_eval: int = 20_000, seed: int = 7,
 ) -> list[CorpusEntry]:
     """Corpus priced on the *Spark* execution paths each option actually
     takes in a prediction query (MLtoSQL as a Catalyst expression; none/
@@ -231,11 +209,8 @@ def build_corpus_spark(
             print(f"[corpus-spark] {i + 1}/{n_pipelines} {runtimes}", flush=True)
         return entries
 
-    return _load_or_build(
-        os.path.join(
-            _CACHE_DIR, f"corpus_spark_{n_pipelines}_{n_rows_eval}_{seed}.pkl"
-        ),
-        cache, build,
+    return cached(
+        "corpus_spark", (n_pipelines, n_rows_train, n_rows_eval, seed), build
     )
 
 

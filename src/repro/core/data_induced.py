@@ -27,7 +27,8 @@ from repro.ir.graph import Pipeline
 
 @dataclass
 class ColumnStats:
-    """min/max per numeric column, present-category sets per cat column."""
+    """min/max per numeric column (max +inf when the column holds a NULL),
+    present-category sets per cat column."""
 
     num_ranges: dict[str, tuple[float, float]] = field(default_factory=dict)
     cat_domains: dict[str, set] = field(default_factory=dict)
@@ -46,7 +47,11 @@ def collect_stats_pandas(
 ) -> ColumnStats:
     stats = ColumnStats()
     for c in num_cols:
-        stats.num_ranges[c] = (float(pdf[c].min()), float(pdf[c].max()))
+        col = pdf[c]
+        if col.notna().any():  # an all-NULL column gives no bound
+            # a NULL takes the right branch of every split, as +inf does
+            hi = np.inf if col.isna().any() else float(col.max())
+            stats.num_ranges[c] = (float(col.min()), hi)
     for c in cat_cols:
         stats.cat_domains[c] = {str(v) for v in pdf[c].unique()}
     return stats

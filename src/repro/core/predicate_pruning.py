@@ -45,11 +45,16 @@ class Predicate:
     op: str  # "=", "<", "<=", ">", ">="
     value: object
 
-    def as_range(self) -> tuple:
-        """Normalize to the slot-interval encoding of repro.ir.slots."""
+    def as_range(self) -> tuple | None:
+        """Normalize to the slot-interval encoding of repro.ir.slots;
+        ``None`` for a range with a non-numeric bound (``c >= 'b'``), which
+        bounds no slot."""
         if self.op == "=":
             return ("eq", self.value)
-        v = float(self.value)
+        try:
+            v = float(self.value)
+        except (TypeError, ValueError):
+            return None
         if self.op in ("<", "<="):
             return ("range", -np.inf, v)
         return ("range", v, np.inf)
@@ -67,6 +72,8 @@ def merge_predicates(preds: list[Predicate]) -> dict[str, tuple]:
     out: dict[str, tuple] = {}
     for p in preds:
         cur = p.as_range()
+        if cur is None:
+            continue
         prev = out.get(p.col)
         if prev is None:
             out[p.col] = cur

@@ -97,10 +97,6 @@ def _planted_label(
     return pd.Series((margin > np.median(margin)).astype(np.int64), index=pdf.index)
 
 
-def _cats(prefix: str, card: int) -> list[str]:
-    return [f"{prefix}{i}" for i in range(card)]
-
-
 # ======================================================================
 # Credit Card — 1 table, 28 numeric inputs
 # ======================================================================
@@ -337,10 +333,6 @@ def _gen_flights(n: int, seed: int) -> dict[str, pd.DataFrame]:
 # ======================================================================
 # Registry
 # ======================================================================
-def _dim_domains(cats: list[tuple[str, int]]) -> dict[str, list[str]]:
-    return {c: [f"{c}_{i}" for i in range(card)] for c, card in cats}
-
-
 def get_spec(name: str) -> DatasetSpec:
     if name == "creditcard":
         return DatasetSpec("creditcard", "creditcard", list(_CREDIT_NUM), [])

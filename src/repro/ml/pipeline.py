@@ -10,14 +10,12 @@ inputs one-hot encoded, the concatenated feature vector feeds one of
 """
 from __future__ import annotations
 
-import hashlib
-import os
-import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
 
+from repro.cache import cached
 from repro.ml.ensemble import GradientBoosting, RandomForest
 from repro.ml.featurize import OneHotEncoder, StandardScaler
 from repro.ml.linear import LogisticRegression
@@ -130,31 +128,12 @@ def fit_pipeline(
     return tp
 
 
-# ----------------------------------------------------------------------
-# Disk cache: jobs, tests, and benchmarks retrain the same pipelines many
-# times; training the larger gradient-boosting models is the expensive part.
-_CACHE_DIR = os.environ.get(
-    "REPRO_MODEL_CACHE", os.path.join(os.path.dirname(__file__), "..", "..", "..", ".model_cache")
-)
-
-
 def fit_pipeline_cached(pdf: pd.DataFrame, key: str, **kwargs) -> TrainedPipeline:
-    """``fit_pipeline`` with a pickle cache keyed by ``key`` + hyperparams.
+    """``fit_pipeline`` through the artifact cache (:mod:`repro.cache`).
 
     ``key`` must identify the training frame (dataset name, rows, seed);
-    hyperparameters are folded into the cache filename automatically.
+    hyperparameters are folded into the cache key automatically.
     """
-    tag = hashlib.sha1(
-        (key + repr(sorted(kwargs.items()))).encode()
-    ).hexdigest()[:16]
-    path = os.path.join(_CACHE_DIR, f"pipeline_{tag}.pkl")
-    if os.path.exists(path):
-        with open(path, "rb") as f:
-            return pickle.load(f)
-    tp = fit_pipeline(pdf, **kwargs)
-    os.makedirs(_CACHE_DIR, exist_ok=True)
-    tmp = path + f".tmp{os.getpid()}"
-    with open(tmp, "wb") as f:
-        pickle.dump(tp, f)
-    os.replace(tmp, path)
-    return tp
+    return cached(
+        "pipeline", (key, sorted(kwargs.items())), lambda: fit_pipeline(pdf, **kwargs)
+    )

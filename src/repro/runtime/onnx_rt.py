@@ -251,9 +251,3 @@ def ensemble_output(
     label = np.argmax(proba, axis=1).astype(np.int64)
     score = proba[:, 1] if proba.shape[1] > 1 else proba[:, 0]
     return label, score
-
-
-def predict_frame(p: Pipeline, pdf: pd.DataFrame) -> pd.DataFrame:
-    """Convenience: batch in, ``prediction``/``score`` columns out."""
-    label, score = run(p, pdf)
-    return pd.DataFrame({"prediction": label, "score": score}, index=pdf.index)

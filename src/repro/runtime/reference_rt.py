@@ -97,11 +97,6 @@ def run(p: Pipeline, pdf: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
     return label, proba[:, 1] if proba.shape[1] > 1 else proba[:, 0]
 
 
-def predict_frame(p: Pipeline, pdf: pd.DataFrame) -> pd.DataFrame:
-    label, score = run(p, pdf)
-    return pd.DataFrame({"prediction": label, "score": score}, index=pdf.index)
-
-
 def agrees_with_onnx_rt(p: Pipeline, pdf: pd.DataFrame, atol: float = 1e-6) -> bool:
     """Fidelity check helper used by tests."""
     l1, s1 = run(p, pdf)

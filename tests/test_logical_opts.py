@@ -253,6 +253,24 @@ class TestProjectionPushdown:
         assert (l == 0).all()
 
 
+@pytest.fixture(scope="module")
+def null_x():
+    """A depth-6 dt on ``x``, ``y`` and ``c``, and 500 rows with ``x < 0`` to
+    score, 50 of them with ``x`` NULL."""
+    rng = np.random.default_rng(11)
+    n = 3000
+    pdf = pd.DataFrame({
+        "x": rng.standard_normal(n),
+        "y": rng.standard_normal(n),
+        "c": rng.choice(["a", "b", "c"], n),
+    })
+    pdf["label"] = ((pdf.x + 0.5 * pdf.y > 0) ^ (pdf.c == "a")).astype(int)
+    p = build_pipeline_ir(fit_pipeline(pdf, ["x", "y"], ["c"], "label", "dt", max_depth=6))
+    rows = pdf[pdf.x < 0].head(500).drop(columns="label").reset_index(drop=True)
+    rows.loc[::10, "x"] = np.nan
+    return pdf, p, rows
+
+
 class TestDataInduced:
     def test_stats_restriction_equiv_on_restricted_data(self, frame):
         p = _ir(frame, "dt", max_depth=8)
@@ -288,6 +306,36 @@ class TestDataInduced:
             if _label_changes(apply_data_induced_pruning(p, stats).pipeline, p, rows):
                 bad.append((col, v, op))
         assert not bad, f"{len(bad)} boundary min/max stats change labels: {bad[:3]}"
+
+    def test_null_numeric_keeps_labels(self, null_x):
+        # the runtime sends a NULL right at every split, so the max of a
+        # column holding NULLs is +inf, not the largest non-NULL value
+        _, p, rows = null_x
+        stats = collect_stats_pandas(rows, ["x", "y"], ["c"])
+        _assert_equiv(apply_data_induced_pruning(p, stats).pipeline, p, rows)
+        assert stats.num_ranges["x"][1] == np.inf
+        all_null = collect_stats_pandas(rows.assign(x=np.nan), ["x", "y"], ["c"])
+        assert "x" not in all_null.num_ranges and "y" in all_null.num_ranges
+
+    def test_null_numeric_is_not_folded_into_a_linear_model(self, null_x):
+        # x is one value or NULL: the slot is not known, so x stays a model
+        # input and a NULL still makes the margin NaN
+        pdf, _, rows = null_x
+        p = build_pipeline_ir(fit_pipeline(pdf, ["x", "y"], ["c"], "label", "lr"))
+        rows = rows.assign(x=rows.x.where(rows.x.isna(), -0.5))
+        stats = collect_stats_pandas(rows, ["x", "y"], ["c"])
+        pruned = apply_data_induced_pruning(p, stats).pipeline
+        pushed = apply_projection_pushdown(pruned).pipeline
+        _assert_equiv(pushed, p, rows)
+        assert "x" in pushed.input_cols
+
+    def test_partitioned_null_numeric_keeps_labels(self, null_x):
+        _, p, rows = null_x
+        pm = compile_partitioned_models(p, rows, "c", ["x", "y"], ["c"])
+        assert set(pm.models) == {"a", "b", "c"}
+        for v, mp in pm.models.items():
+            part = rows[rows.c == v]
+            np.testing.assert_array_equal(onnx_rt.run(mp, part)[0], onnx_rt.run(p, part)[0])
 
     def test_scaled_onehot_domain_restriction(self, frame):
         # a Scaler after the one-hot: the refolded slot bounds are widened,

@@ -186,6 +186,27 @@ class TestSqlServerSim:
         finally:
             eng.close()
 
+    def test_string_range_on_a_categorical(self):
+        """A range conjunct with a string bound bounds no slot: the model is
+        left unpruned and the filter still runs."""
+        rng = np.random.default_rng(5)
+        t = pd.DataFrame({"x": rng.normal(size=400), "c": rng.choice(["a", "b", "c"], 400)})
+        t["label"] = ((t.x > 0) ^ (t.c == "b")).astype(int)
+        p = build_pipeline_ir(fit_pipeline(t, ["x"], ["c"], "label", "dt", max_depth=4))
+        q = parse_prediction_query(
+            "SELECT PREDICT(m, *) FROM t WHERE c >= 'b'", {"m": p}, {"t": ["x", "c"]}
+        )
+        label, _ = onnx_rt.run(p, t[t.c >= "b"])
+        want = dict(zip(*np.unique(label, return_counts=True)))
+        eng = SqlServerSim({"t": t.drop(columns="label")}, threads=2)
+        try:
+            for runtime in ("none", "sql"):
+                plan = RavenOptimizer(OptimizerConfig(runtime=runtime)).optimize(q)
+                res = (eng.run_raven_sql if runtime == "sql" else eng.run_raven_predict)(plan)
+                assert dict(zip(res.agg["prediction"], res.agg["n"])) == want, runtime
+        finally:
+            eng.close()
+
 
 @pytest.fixture(scope="module")
 def star():

@@ -38,9 +38,12 @@ def _ir(frame, kind, **kw):
 
 
 @pytest.fixture(scope="module")
-def corpus():
-    # small deterministic corpus for fast tests (bench uses the full one)
-    return build_corpus(30, n_rows_eval=5000, seed=3, cache=False)
+def corpus(tmp_path_factory):
+    # small deterministic corpus for fast tests (bench uses the full one),
+    # built from scratch in an empty cache
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_MODEL_CACHE", str(tmp_path_factory.mktemp("cache")))
+        return build_corpus(30, n_rows_eval=5000, seed=3)
 
 
 class TestFeatures:
@@ -101,9 +104,12 @@ class TestCorpus:
         _, y, _ = corpus_matrices(corpus)
         assert len(np.unique(y)) >= 2
 
-    def test_deterministic_given_seed(self):
-        a = build_corpus(5, n_rows_eval=2000, seed=9, cache=False)
-        b = build_corpus(5, n_rows_eval=2000, seed=9, cache=False)
+    def test_deterministic_given_seed(self, tmp_path, monkeypatch):
+        # each build gets an empty cache, so both are built from scratch
+        monkeypatch.setenv("REPRO_MODEL_CACHE", str(tmp_path / "a"))
+        a = build_corpus(5, n_rows_eval=2000, seed=9)
+        monkeypatch.setenv("REPRO_MODEL_CACHE", str(tmp_path / "b"))
+        b = build_corpus(5, n_rows_eval=2000, seed=9)
         for ea, eb in zip(a, b):
             np.testing.assert_array_equal(ea.features, eb.features)
 
