@@ -132,8 +132,9 @@ def build_corpus(
                 try:
                     con.register("t", eval_pdf)
                     q = (
-                        f"SELECT {sqlp.label_sql} AS prediction, "
-                        f"{sqlp.score_sql} AS score FROM t"
+                        f"SELECT {sqlp.label('_out')} AS prediction, "
+                        f"{sqlp.score('_out')} AS score "
+                        f"FROM (SELECT {sqlp.output_sql} AS _out FROM t)"
                     )
                     runtimes["sql"] = _measure(lambda: con.execute(q).fetchnumpy())
                 finally:
@@ -156,8 +157,6 @@ def build_corpus_spark(
     takes in a prediction query (MLtoSQL as a Catalyst expression; none/
     MLtoDNN through the Arrow-vectorized PREDICT UDF) — the §5.2 principle
     that strategies are calibrated on the deployment engine."""
-    from pyspark.sql import functions as F
-
     from repro.runtime import spark_exec
 
     def build() -> list[CorpusEntry]:
@@ -195,8 +194,7 @@ def build_corpus_spark(
                 try:
                     sqlp = compile_to_sql(p)
                     runtimes["sql"] = priced(
-                        lambda: df.withColumn("score", F.expr(sqlp.score_sql))
-                        .withColumn("prediction", F.expr(sqlp.label_sql))
+                        lambda: spark_exec.with_predict_sql(df, sqlp)
                     )
                 except ValueError:
                     runtimes["sql"] = np.inf

@@ -1,8 +1,10 @@
-"""MLtoSQL (§5.1): compile a whole trained pipeline into SQL expressions.
+"""MLtoSQL (§5.1): compile a whole trained pipeline into one SQL expression.
 
-Linear models and scalers become arithmetic; tree models and one-hot
-encoders become (nested) CASE expressions, produced by a depth-first
-traversal exactly as the paper describes:
+The expression is the model's output, the margin (lr, gb) or the averaged
+P(class 1) (dt, rf); the label and the score are thin wrappers around it
+(:class:`SqlPrediction`). Linear models and scalers become arithmetic;
+tree models and one-hot encoders become (nested) CASE expressions,
+produced by a depth-first traversal exactly as the paper describes:
 
     CASE WHEN F[0] > 60 THEN (...) ELSE (...) END
 
@@ -36,18 +38,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ir.graph import Pipeline
+from repro.ir.graph import Node, Pipeline
 from repro.ir.slots import Slot, model_input_slots
 from repro.ir.tree import LEAF, Tree
 
 
 @dataclass
 class SqlPrediction:
-    """Compiled expressions over the raw input columns."""
+    """A compiled model. ``output_sql`` is its one output expression: the
+    margin for lr and gb, the averaged P(class 1) for dt and rf. The label
+    and the score derive from it, or from a column holding its value
+    (:meth:`label`, :meth:`score`), so a statement that needs both selects
+    the model once."""
 
-    label_sql: str  # integer 0/1
-    score_sql: str  # P(class 1)
-    input_cols: list[str]
+    output_sql: str
+    is_margin: bool
+
+    def label(self, expr: str) -> str:
+        """Integer 0/1 label of ``expr``, a value of ``output_sql``."""
+        return f"CAST({expr} > {'0.0' if self.is_margin else '0.5'} AS INT)"
+
+    def score(self, expr: str) -> str:
+        """P(class 1) of ``expr``, a value of ``output_sql``."""
+        return f"(1.0 / (1.0 + EXP(-{expr})))" if self.is_margin else expr
+
+    @property
+    def label_sql(self) -> str:
+        return self.label(self.output_sql)
+
+    @property
+    def score_sql(self) -> str:
+        return self.score(self.output_sql)
 
 
 def _lit(v: object) -> str:
@@ -128,21 +149,24 @@ def _tree_case_sql(t: Tree, slots: list[Slot], leaf_sql) -> str:
 
 def compile_to_sql(p: Pipeline) -> SqlPrediction:
     """Whole-pipeline compilation. Raises ValueError when unsupported."""
-    slots = model_input_slots(p)  # raises for unsupported featurizer shapes
-    model = p.model_node
+    return compile_model_sql(p.model_node, model_input_slots(p))
 
+
+def compile_model_sql(
+    model: Node, slots: list[Slot], every_coef: bool = False
+) -> SqlPrediction:
+    """``model`` over the feature vector ``slots``. A linear model skips
+    its zero coefficients unless ``every_coef`` (the MADlib baseline,
+    which evaluates every dense column). ``output_sql`` is parenthesized,
+    so the label and score may wrap it as they stand."""
     if model.op == "linear_classifier":
         coef = np.asarray(model.attrs["coef"], dtype=np.float64)
         terms = [
             f"{_slot_value_sql(slots[i])} * {_lit(coef[i])}"
-            for i in np.flatnonzero(coef != 0.0)
+            for i in (range(len(coef)) if every_coef else np.flatnonzero(coef))
         ]
         margin = _sum_sql(terms + [_lit(model.attrs["intercept"])])
-        return SqlPrediction(
-            label_sql=f"CAST(({margin}) > 0.0 AS INT)",
-            score_sql=f"(1.0 / (1.0 + EXP(-({margin}))))",
-            input_cols=list(p.input_cols),
-        )
+        return SqlPrediction(f"({margin})", is_margin=True)
 
     if model.op != "tree_ensemble":  # pragma: no cover
         raise ValueError(f"MLtoSQL does not support {model.op}")
@@ -154,12 +178,7 @@ def compile_to_sql(p: Pipeline) -> SqlPrediction:
             f"({_tree_case_sql(t, slots, lambda n, t=t: _lit(t.value[n, 0]))})"
             for t in trees
         ]
-        margin = _sum_sql(parts)
-        return SqlPrediction(
-            label_sql=f"CAST({margin} > 0.0 AS INT)",
-            score_sql=f"(1.0 / (1.0 + EXP(-{margin})))",
-            input_cols=list(p.input_cols),
-        )
+        return SqlPrediction(_sum_sql(parts), is_margin=True)
 
     # dt / rf: average class-1 probabilities; binary argmax = p1 > 0.5
     if trees[0].n_out != 2:
@@ -168,9 +187,6 @@ def compile_to_sql(p: Pipeline) -> SqlPrediction:
         f"({_tree_case_sql(t, slots, lambda n, t=t: _lit(t.value[n, 1]))})"
         for t in trees
     ]
-    score = f"({_sum_sql(parts)} / {_lit(len(trees))})"
     return SqlPrediction(
-        label_sql=f"CAST({score} > 0.5 AS INT)",
-        score_sql=score,
-        input_cols=list(p.input_cols),
+        f"({_sum_sql(parts)} / {_lit(len(trees))})", is_margin=False
     )

@@ -108,12 +108,19 @@ def apply_predicate_pruning(p: Pipeline, predicates: list[Predicate]) -> PruneRe
             continue
         col = node.attrs["name"]
         pred = merged.get(col)
-        if pred is not None and pred[0] == "eq":
-            value = pred[1] if node.attrs["kind"] == "cat" else float(pred[1])
-            p.nodes[node.id] = Node(
-                "constant", [], {"value": value}, id=node.id
-            )
-            bound[col] = value
+        if pred is None or pred[0] != "eq":
+            continue
+        value = pred[1]
+        if node.attrs["kind"] == "num":
+            try:
+                value = float(value)
+            except (TypeError, ValueError):
+                # ``x = 'b'`` on a numeric input bounds nothing, as a
+                # non-numeric range does (:meth:`Predicate.as_range`)
+                del merged[col]
+                continue
+        p.nodes[node.id] = Node("constant", [], {"value": value}, id=node.id)
+        bound[col] = value
     p = p.gc()
 
     # Step 2: bound every slot, then prune the model against the bounds.

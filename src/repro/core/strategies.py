@@ -12,9 +12,9 @@ Three strategies, as in the paper:
   runtime of each option (the option becomes a feature, tripling the
   training set); pick the argmin.
 
-Plus :class:`HeuristicStrategy`, a hardware-free fallback encoding the
-paper's qualitative findings (MLtoSQL pays off for linear models and
-shallow trees; ensembles stay on the ML runtime; MLtoDNN needs a GPU).
+Each strategy chooses for a matrix of feature rows at once
+(``choose_rows``, which the Fig 4 evaluation calls); ``choose`` is that
+choice for one pipeline.
 """
 from __future__ import annotations
 
@@ -29,27 +29,14 @@ from repro.ml.ensemble import RandomForest
 from repro.ml.tree import DecisionTree
 
 
-@dataclass
-class HeuristicStrategy:
-    """Static rule capturing §7's qualitative behaviour on CPU clusters."""
-
-    gpu_available: bool = False
-    sql_max_depth: int = 12
-    sql_max_nodes: int = 4000
-
+class _Strategy:
     def choose(self, p: Pipeline) -> str:
-        f = dict(zip(FEATURE_NAMES, pipeline_features(p)))
-        if f["is_lr"]:
-            return "sql"
-        if f["is_dt"] and f["max_tree_depth"] <= self.sql_max_depth:
-            return "sql"
-        if self.gpu_available and f["total_tree_nodes"] > self.sql_max_nodes:
-            return "dnn"
-        return "none"
+        """The option chosen for pipeline ``p``."""
+        return OPTIONS[int(self.choose_rows(pipeline_features(p)[None, :])[0])]
 
 
 @dataclass
-class RuleBasedStrategy:
+class RuleBasedStrategy(_Strategy):
     """Two-stage tree distillation -> shallow decision rule."""
 
     k: int = 3
@@ -70,9 +57,8 @@ class RuleBasedStrategy:
         ).fit(X[:, self.top_features_].astype(np.float32), y)
         return self
 
-    def choose(self, p: Pipeline) -> str:
-        f = pipeline_features(p)[self.top_features_]
-        return OPTIONS[int(self.rule_tree_.predict(f[None, :])[0])]
+    def choose_rows(self, X: np.ndarray) -> np.ndarray:
+        return self.rule_tree_.predict(X[:, self.top_features_].astype(np.float32))
 
     def describe(self) -> str:
         """Human-readable nested-if form of the learned rule."""
@@ -94,7 +80,7 @@ class RuleBasedStrategy:
 
 
 @dataclass
-class ClassificationStrategy:
+class ClassificationStrategy(_Strategy):
     """Random-forest classifier over the 22 statistics."""
 
     n_estimators: int = 60
@@ -107,13 +93,12 @@ class ClassificationStrategy:
         ).fit(X.astype(np.float32), y)
         return self
 
-    def choose(self, p: Pipeline) -> str:
-        pred = self.model_.predict(pipeline_features(p)[None, :].astype(np.float32))
-        return OPTIONS[int(pred[0])]
+    def choose_rows(self, X: np.ndarray) -> np.ndarray:
+        return self.model_.predict(X.astype(np.float32))
 
 
 @dataclass
-class RegressionStrategy:
+class RegressionStrategy(_Strategy):
     """Runtime regressor; transformation id is an input feature."""
 
     max_depth: int = 10
@@ -140,13 +125,9 @@ class RegressionStrategy:
         ).fit(Xe.astype(np.float32), y)
         return self
 
-    def choose(self, p: Pipeline) -> str:
-        f = pipeline_features(p)
-        preds = [
-            float(self.model_.predict(row[None, :].astype(np.float32))[0])
-            for row in self._expand(f[None, :])
-        ]
-        return OPTIONS[int(np.argmin(preds))]
+    def choose_rows(self, X: np.ndarray) -> np.ndarray:
+        preds = self.model_.predict(self._expand(X).astype(np.float32))
+        return np.argmin(preds.reshape(len(OPTIONS), -1), axis=0)
 
 
 def evaluate_strategies(
@@ -185,7 +166,7 @@ def evaluate_strategies(
             train_entries = [e for e, t in zip(entries, test) if not t]
             for name, make in makers.items():
                 strat = make().fit(train_entries)
-                chosen = _choose_bulk(strat, X[test])
+                chosen = strat.choose_rows(X[test])
                 acc[name].append(float(np.mean(chosen == y[test])))
                 t_chosen = R[test, chosen].sum()
                 t_opt = R[test].min(axis=1).sum()
@@ -203,22 +184,3 @@ def evaluate_strategies(
             "speedup_max": float(s.max()),
         }
     return out
-
-
-def _choose_bulk(strategy, X: np.ndarray) -> np.ndarray:
-    """Vectorized choice for evaluation (bypasses pipeline_features)."""
-    if isinstance(strategy, RuleBasedStrategy):
-        return strategy.rule_tree_.predict(
-            X[:, strategy.top_features_].astype(np.float32)
-        )
-    if isinstance(strategy, ClassificationStrategy):
-        return strategy.model_.predict(X.astype(np.float32))
-    preds = np.column_stack(
-        [
-            strategy.model_.predict(
-                np.hstack([X, np.tile(onehot, (X.shape[0], 1))]).astype(np.float32)
-            )
-            for onehot in np.eye(len(OPTIONS))
-        ]
-    )
-    return np.argmin(preds, axis=1)

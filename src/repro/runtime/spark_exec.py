@@ -4,18 +4,23 @@ Lowers a :class:`repro.core.optimizer.PhysicalPlan` onto the DataFrame API:
 scans + equi-joins + WHERE filters are Catalyst-planned; the PREDICT step
 is either
 
-- a generated SQL expression (MLtoSQL path, pure Catalyst — Spark's
-  optimizer then pushes the referenced columns/filters further), or
+- the MLtoSQL expression (:func:`with_predict_sql`, pure Catalyst —
+  Spark's optimizer then pushes the referenced columns/filters further):
+  the model's one output column is selected once and the label and score
+  derive from it, or
 - an Arrow-vectorized ``mapInArrow`` UDF driving an ML runtime over 10k-
-  row batches — the architecture of the paper's Raven Python UDF (§6),
-  except that the model is not cached per process: it is pickled into
-  every task's closure. The runtime reads each Arrow record batch as it
-  arrives (string columns come as ``string``, or as ``large_string`` under
-  ``spark.sql.execution.arrow.useLargeVarTypes``) and the UDF returns
-  only ``prediction`` and ``score``, so the model inputs cross the
-  JVM/Python boundary once. The partitioned-model path splits a batch by
-  Arrow filters on the partition column; the ``reference`` runtime
-  converts to pandas inside the mapper.
+  row batches (:func:`with_predict_udf`) — the architecture of the
+  paper's Raven Python UDF (§6), except that the model is not cached per
+  process: it is pickled into every task's closure. The runtime reads
+  each Arrow record batch as it arrives (string columns come as
+  ``string``, or as ``large_string`` under
+  ``spark.sql.execution.arrow.useLargeVarTypes``), so the model inputs
+  cross the JVM/Python boundary once. The partitioned-model path splits a
+  batch by Arrow filters on the partition column; the ``reference``
+  runtime converts to pandas inside the mapper.
+
+Both paths return only ``prediction`` and ``score``
+(:data:`PREDICTION_SCHEMA`), never the model inputs.
 
 Results are materialized with the ``noop`` data source (the stand-in for
 the paper's "write to HDFS" measurement sink — full execution, no local
@@ -32,6 +37,7 @@ import pyarrow.compute as pc
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+from repro.core.ml2sql import SqlPrediction
 from repro.core.optimizer import PhysicalPlan
 from repro.core.predicate_pruning import Predicate
 from repro.core.query import PredictionQuery
@@ -76,8 +82,20 @@ def build_input_df(
     return df.select(*select_cols)
 
 
-#: the UDF's output: the predictions alone, never the model inputs
+#: the output of both PREDICT paths: the predictions alone, never the
+#: model inputs
 PREDICTION_SCHEMA = "prediction long, score double"
+
+
+def with_predict_sql(df: DataFrame, sql: SqlPrediction) -> DataFrame:
+    """``prediction``/``score`` of every row of ``df``, through the MLtoSQL
+    expression: the model's output is selected once, as ``_out``, and the
+    label and score derive from that column."""
+    out = df.select(F.expr(sql.output_sql).alias("_out"))
+    return out.select(
+        F.expr(sql.label("_out")).cast("long").alias("prediction"),
+        F.expr(sql.score("_out")).alias("score"),
+    )
 
 
 def with_predict_udf(
@@ -147,9 +165,7 @@ def execute_plan(catalog: dict[str, DataFrame], plan: PhysicalPlan) -> DataFrame
     df = build_input_df(catalog, query, select)
 
     if plan.runtime == "sql":
-        df = df.withColumn("score", F.expr(plan.sql.score_sql)).withColumn(
-            "prediction", F.expr(plan.sql.label_sql).cast("long")
-        )
+        df = with_predict_sql(df, plan.sql)
     else:
         df = with_predict_udf(
             df,

@@ -10,7 +10,8 @@ columnstore engine with a configurable degree of parallelism
   reads Arrow; no pandas conversion), mirroring SQL Server's PREDICT that
   invokes ONNX Runtime per batch.
 - :meth:`SqlServerSim.run_raven_predict` — Raven's plan that keeps the ML
-  runtime: the column-pruned scan of :func:`encoded_scan`, which moves
+  runtime (or MLtoDNN's tensor runtime for a ``"dnn"`` plan): the
+  column-pruned scan of :func:`encoded_scan`, which moves
   the one-hot lookup into the engine (the FeatureExtractor pushed through
   OneHotEncoder into the scan, §4.1). Each table of the star is a derived
   table holding its model columns, join keys and WHERE conjuncts, with
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import duckdb
 import numpy as np
@@ -50,6 +52,7 @@ from repro.core.predicate_pruning import Predicate
 from repro.core.query import PredictionQuery
 from repro.ir.graph import Pipeline
 from repro.runtime import onnx_rt
+from repro.runtime.dnn_rt import compile_to_dnn
 
 PREDICT_BATCH_ROWS = 10_000
 
@@ -196,13 +199,14 @@ class SqlServerSim:
         self, query: PredictionQuery, pipeline: Pipeline
     ) -> EngineResult:
         sql = data_select_sql(query, list(pipeline.input_cols))
-        return self._predict(EncodedScan(sql, {}), query, pipeline)
+        return self._predict(EncodedScan(sql, {}), query, partial(onnx_rt.run, pipeline))
 
     def _predict(
-        self, scan: EncodedScan, query: PredictionQuery, pipeline: Pipeline
+        self, scan: EncodedScan, query: PredictionQuery, predict
     ) -> EngineResult:
-        """Scores ``scan``'s record batches with the ML runtime, each code
-        column wrapped as a dictionary array over its categories."""
+        """Scores ``scan``'s record batches with ``predict(batch) -> (label,
+        score)``, each code column wrapped as a dictionary array over its
+        categories."""
         t0 = time.perf_counter()
         reader = self.con.execute(scan.sql).fetch_record_batch(PREDICT_BATCH_ROWS)
         counts: dict[int, int] = {}
@@ -211,7 +215,7 @@ class SqlServerSim:
                 i = batch.schema.get_field_index(c)
                 codes = pa.DictionaryArray.from_arrays(batch.column(i), d)
                 batch = batch.set_column(i, c, codes)
-            label, _ = onnx_rt.run(pipeline, batch)
+            label, _ = predict(batch)
             if query.output_filter is not None:
                 label = label[label == int(query.output_filter[1])]
             for k, c in zip(*np.unique(label, return_counts=True)):
@@ -245,8 +249,14 @@ class SqlServerSim:
     ) -> EngineResult:
         """Raven logical opts applied, runtime = ML (column-pruned scan,
         one-hot columns encoded in the engine when :func:`encoded_scan`
-        can place them)."""
-        scan = encoded_scan(plan.query, plan.pipeline, self.types)
+        can place them), scored by the plan's runtime: MLtoDNN for
+        ``"dnn"``, else the ML runtime."""
+        p = plan.pipeline
+        if plan.runtime == "dnn":
+            predict = compile_to_dnn(p).predict
+        else:
+            predict = partial(onnx_rt.run, p)
+        scan = encoded_scan(plan.query, p, self.types)
         if scan is None:
-            return self.run_predict_statement(plan.query, plan.pipeline)
-        return self._predict(scan, plan.query, plan.pipeline)
+            scan = EncodedScan(data_select_sql(plan.query, list(p.input_cols)), {})
+        return self._predict(scan, plan.query, predict)

@@ -19,7 +19,7 @@ import time
 
 import pandas as pd
 
-from repro.core.ml2sql import _lit, _slot_value_sql, _sum_sql, _tree_case_sql
+from repro.core.ml2sql import _slot_value_sql, compile_model_sql
 from repro.core.query import PredictionQuery
 from repro.ir.graph import Pipeline
 from repro.ir.slots import Slot, model_input_slots
@@ -35,32 +35,6 @@ def madlib_supported(p: Pipeline) -> bool:
 
 def _featurize_sql(slots: list[Slot]) -> list[str]:
     return [f"{_slot_value_sql(s)} AS f{i}" for i, s in enumerate(slots)]
-
-
-def _dense_model_sql(p: Pipeline) -> str:
-    """Label expression over materialized dense columns f0..fN."""
-    import numpy as np
-
-    model = p.model_node
-    d = p.n_model_features()
-    dense = [Slot("num", source=f"f{i}") for i in range(d)]
-    if model.op == "linear_classifier":
-        coef = np.asarray(model.attrs["coef"], dtype=np.float64)
-        terms = [f"f{i} * {_lit(coef[i])}" for i in range(d)]  # dense: no skip
-        margin = _sum_sql(terms + [_lit(model.attrs["intercept"])])
-        return f"CAST(({margin}) > 0.0 AS INT)"
-    trees = model.attrs["trees"]
-    if model.attrs["kind"] == "gb":
-        parts = [_lit(model.attrs["base_score"])] + [
-            f"({_tree_case_sql(t, dense, lambda n, t=t: _lit(t.value[n, 0]))})"
-            for t in trees
-        ]
-        return f"CAST({_sum_sql(parts)} > 0.0 AS INT)"
-    parts = [
-        f"({_tree_case_sql(t, dense, lambda n, t=t: _lit(t.value[n, 1]))})"
-        for t in trees
-    ]
-    return f"CAST(({_sum_sql(parts)} / {_lit(len(trees))}) > 0.5 AS INT)"
 
 
 def run_madlib(
@@ -81,11 +55,13 @@ def run_madlib(
             + ", ".join(_featurize_sql(slots))
             + f" FROM ({inner})"
         )
-        label_sql = _dense_model_sql(pipeline)
+        # the model over the materialized columns f0..fN, zero weights kept
+        dense = [Slot("num", source=f"f{i}") for i in range(len(slots))]
+        model = compile_model_sql(pipeline.model_node, dense, every_coef=True)
         t0 = time.perf_counter()
         eng.con.execute(feat_sql)  # materialization counted, as in the paper
         agg = eng.con.execute(
-            f"SELECT {label_sql} AS prediction, COUNT(*) AS n "
+            f"SELECT {model.label_sql} AS prediction, COUNT(*) AS n "
             f"FROM madlib_feat GROUP BY 1 ORDER BY 1"
         ).fetchdf()
         seconds = time.perf_counter() - t0

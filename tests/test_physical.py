@@ -6,7 +6,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.ml2sql import compile_to_sql
+from repro.core.ml2sql import _lit, compile_model_sql, compile_to_sql
 from repro.core.predicate_pruning import Predicate, apply_predicate_pruning
 from repro.core.projection_pushdown import apply_projection_pushdown
 from repro.ir.builder import build_pipeline_ir
@@ -151,6 +151,13 @@ class TestMLtoSQL:
         sqlp = compile_to_sql(p)
         # count arithmetic terms: zero-weight slots must be absent
         assert sqlp.score_sql.count("*") <= 2 * int(np.sum(coef != 0.0)) + 2
+        # ... unless every coefficient is asked for, as the MADlib baseline does
+        def zero_terms(sql: str) -> int:
+            return sum(sql.count(f" * {_lit(z)}") for z in (0.0, -0.0))
+
+        assert zero_terms(sqlp.output_sql) == 0
+        dense = compile_model_sql(p.model_node, model_input_slots(p), every_coef=True)
+        assert zero_terms(dense.output_sql) == int(np.sum(coef == 0.0))
 
     def test_gb_includes_base_score(self, frame):
         p = _ir(frame, "gb", max_depth=2, n_estimators=3)

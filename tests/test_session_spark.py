@@ -9,6 +9,7 @@ import pytest
 from repro import oracle
 from repro.core.optimizer import OptimizerConfig
 from repro.core.predicate_pruning import Predicate
+from repro.core.query import PredictionQuery
 from repro.core.session import RavenSession, dataset_query
 from repro.data import datasets as ds
 from repro.ir.builder import build_pipeline_ir
@@ -81,6 +82,7 @@ class TestHospitalEndToEnd:
         plan = raven.optimize(query)
         assert plan.runtime == "sql"
         df = raven.execute_plan(plan)
+        assert df.columns == ["prediction", "score"]
         # oracle: run the very same generated SQL on DuckDB over the input
         oracle.assert_equivalent(
             df.groupBy("prediction").count().withColumnRenamed("count", "n"),
@@ -95,6 +97,26 @@ class TestHospitalEndToEnd:
         a = df.groupBy("prediction").count().toPandas().set_index("prediction")
         b = udf_df.groupBy("prediction").count().toPandas().set_index("prediction")
         assert abs(a["count"].sub(b["count"], fill_value=0)).sum() <= 0.006 * N_ROWS
+
+    def test_mltosql_plan_holds_the_model_once(self, spark):
+        # label and score both derive from one selected margin column
+        rng = np.random.default_rng(3)
+        t = pd.DataFrame({"a": rng.normal(size=2000), "b": rng.normal(size=2000)})
+        t["label"] = (t.a + 0.3 * t.b > 0.8).astype(int)
+        p = build_pipeline_ir(fit_pipeline(
+            t, ["a", "b"], [], "label", "gb", max_depth=3, n_estimators=10
+        ))
+        base = float(p.model_node.attrs["base_score"])
+        assert abs(base) > 0.5  # a literal no other constant of the plan repeats
+        # repartitioned, so Catalyst does not fold the query into local data
+        catalog = spark_exec.register_pandas_tables(spark, {"t": t}, repartition=2)
+        cols = {"t": ["a", "b"]}
+        raven = RavenSession(spark, catalog, cols, config=OptimizerConfig(runtime="sql"))
+        plan = raven.optimize(PredictionQuery(fact="t", pipeline=p, table_cols=cols))
+        assert plan.runtime == "sql"
+        df = raven.execute_plan(plan)
+        text = df._jdf.queryExecution().optimizedPlan().toString()
+        assert text.count(repr(base)) == 1
 
     def test_mltosql_on_split_boundaries_matches_runtime(self, spark, hospital_env):
         # Spark evaluates the generated SQL with the runtime's own rounding
@@ -167,18 +189,23 @@ class TestHospitalEndToEnd:
         ).toPandas()
         assert len(out) == int((base["prediction"] == 1).sum())
 
-    @pytest.mark.parametrize("runtime", ["onnx", "dnn", "reference"])
+    @pytest.mark.parametrize("runtime", ["onnx", "dnn", "reference", "sql"])
     @pytest.mark.parametrize("kind", ["lr", "dt"])
     def test_udf_returns_typed_predictions_only(self, hospital_env, runtime, kind):
         # the tensor runtime scores linear models in float32; the UDF must
-        # still hand Spark the declared long/double columns
+        # still hand Spark the declared long/double columns, and the MLtoSQL
+        # path the same two
+        from repro.core.ml2sql import compile_to_sql
         from repro.runtime import onnx_rt
 
         spec, tables, catalog, frame = hospital_env
         p = _pipeline(spec, frame, kind, max_depth=5, l1=0.02)
         df = spark_exec.build_input_df(catalog, dataset_query(spec, p, tables), p.input_cols)
-        out = spark_exec.with_predict_udf(df, p, runtime=runtime)
-        assert out.columns == ["prediction", "score"]
+        if runtime == "sql":
+            out = spark_exec.with_predict_sql(df, compile_to_sql(p))
+        else:
+            out = spark_exec.with_predict_udf(df, p, runtime=runtime)
+        assert out.dtypes == [("prediction", "bigint"), ("score", "double")]
         got = out.toPandas()
         label, _ = onnx_rt.run(p, frame)
         assert np.bincount(got["prediction"], minlength=2).tolist() == np.bincount(

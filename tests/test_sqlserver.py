@@ -1,6 +1,7 @@
 """Tests for the DuckDB-backed "SQL Server" engine and the MADlib-style
 baseline: result parity across paths, DOP control, and the PostgreSQL
 column-limit behaviour the paper reports."""
+import duckdb
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -15,6 +16,7 @@ from repro.data import datasets as ds
 from repro.ir.builder import build_pipeline_ir
 from repro.ml.pipeline import fit_pipeline
 from repro.runtime import onnx_rt
+from repro.runtime.dnn_rt import compile_to_dnn
 from repro.sqlserver import engine
 from repro.sqlserver.engine import SqlServerSim, data_select_sql, encoded_scan
 from repro.sqlserver.madlib import madlib_supported, run_madlib
@@ -207,6 +209,49 @@ class TestSqlServerSim:
         finally:
             eng.close()
 
+    def test_string_equality_on_a_numeric_input(self):
+        """``x = 'b'`` on a numeric input binds and prunes nothing; the
+        engine reports its own cast error."""
+        rng = np.random.default_rng(5)
+        t = pd.DataFrame({"x": rng.normal(size=400), "y": rng.normal(size=400)})
+        t["label"] = (t.x > t.y).astype(int)
+        p = build_pipeline_ir(fit_pipeline(t, ["x", "y"], [], "label", "dt", max_depth=3))
+        q = parse_prediction_query(
+            "SELECT PREDICT(m, *) FROM t WHERE x = 'b'", {"m": p}, {"t": ["x", "y"]}
+        )
+        eng = SqlServerSim({"t": t.drop(columns="label")}, threads=2)
+        try:
+            for runtime in ("none", "sql"):
+                plan = RavenOptimizer(OptimizerConfig(runtime=runtime)).optimize(q)
+                assert plan.pruned_tree_nodes == 0 and "x" in plan.input_cols
+                run = eng.run_raven_sql if runtime == "sql" else eng.run_raven_predict
+                with pytest.raises(duckdb.ConversionException):
+                    run(plan)
+        finally:
+            eng.close()
+
+    @pytest.mark.parametrize("kind", ["lr", "gb"])
+    def test_dnn_plan_is_scored_by_dnn_rt(self, hosp, monkeypatch, kind):
+        spec, tables, frame = hosp
+        p = _ir(spec, frame, kind, l1=0.02, max_depth=4, n_estimators=10)
+        plan = RavenOptimizer(OptimizerConfig(runtime="dnn")).optimize(
+            dataset_query(spec, p, tables)
+        )
+        assert plan.runtime == "dnn"
+        label, _ = compile_to_dnn(plan.pipeline).predict(frame)
+
+        def onnx_run(*args):
+            raise AssertionError("a dnn plan scored by onnx_rt")
+
+        monkeypatch.setattr(engine.onnx_rt, "run", onnx_run)
+        eng = SqlServerSim(tables, threads=2)
+        try:
+            res = eng.run_raven_predict(plan)
+        finally:
+            eng.close()
+        want = dict(zip(*np.unique(label, return_counts=True)))
+        assert dict(zip(res.agg["prediction"], res.agg["n"])) == want
+
 
 @pytest.fixture(scope="module")
 def star():
@@ -367,6 +412,23 @@ class TestMadlib:
         a = base.agg.set_index("prediction")["n"]
         b = res.agg.set_index("prediction")["n"]
         assert abs(a.sub(b, fill_value=0)).sum() <= 0.006 * len(frame)
+
+    @pytest.mark.parametrize(
+        "kind,kw", [("lr", {"l1": 0.3}), ("gb", {"max_depth": 3, "n_estimators": 10})]
+    )
+    def test_lr_and_gb_counts_equal_predict_statement(self, hosp, kind, kw):
+        spec, tables, frame = hosp
+        p = _ir(spec, frame, kind, **kw)
+        if kind == "lr":  # zero weights, which MADlib still evaluates
+            assert np.any(p.model_node.attrs["coef"] == 0.0)
+        q = dataset_query(spec, p, tables)
+        res = run_madlib(tables, q, p)
+        eng = SqlServerSim(tables, threads=1)
+        try:
+            base = eng.run_predict_statement(q, p)
+        finally:
+            eng.close()
+        pd.testing.assert_frame_equal(res.agg, base.agg, check_dtype=False)
 
     def test_rf_supported(self, hosp):
         spec, tables, frame = hosp

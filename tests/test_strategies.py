@@ -4,11 +4,10 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.corpus import OPTIONS, build_corpus, corpus_matrices
+from repro.core.corpus import OPTIONS, _corpus_pipelines, build_corpus, corpus_matrices
 from repro.core.features import FEATURE_NAMES, pipeline_features
 from repro.core.strategies import (
     ClassificationStrategy,
-    HeuristicStrategy,
     RegressionStrategy,
     RuleBasedStrategy,
     evaluate_strategies,
@@ -104,27 +103,19 @@ class TestCorpus:
         _, y, _ = corpus_matrices(corpus)
         assert len(np.unique(y)) >= 2
 
-    def test_deterministic_given_seed(self, tmp_path, monkeypatch):
-        # each build gets an empty cache, so both are built from scratch
-        monkeypatch.setenv("REPRO_MODEL_CACHE", str(tmp_path / "a"))
-        a = build_corpus(5, n_rows_eval=2000, seed=9)
-        monkeypatch.setenv("REPRO_MODEL_CACHE", str(tmp_path / "b"))
-        b = build_corpus(5, n_rows_eval=2000, seed=9)
-        for ea, eb in zip(a, b):
-            np.testing.assert_array_equal(ea.features, eb.features)
+    def test_deterministic_given_seed(self):
+        # the features come from the generated pipelines alone, so two
+        # generations are compared without pricing them (the cache's reuse
+        # of a priced corpus is covered by test_cache.py)
+        a, b = (
+            [pipeline_features(p) for p, _ in _corpus_pipelines(5, 1500, 2000, 9)]
+            for _ in range(2)
+        )
+        for fa, fb in zip(a, b):
+            np.testing.assert_array_equal(fa, fb)
 
 
 class TestStrategies:
-    def test_heuristic_choices(self, frame):
-        s = HeuristicStrategy()
-        assert s.choose(_ir(frame, "lr", l1=0.01)) == "sql"
-        assert s.choose(_ir(frame, "dt", max_depth=5)) == "sql"
-        assert s.choose(_ir(frame, "gb", max_depth=5, n_estimators=60)) == "none"
-
-    def test_heuristic_gpu_unlocks_dnn(self, frame):
-        s = HeuristicStrategy(gpu_available=True, sql_max_nodes=10)
-        assert s.choose(_ir(frame, "gb", max_depth=6, n_estimators=80)) == "dnn"
-
     @pytest.mark.parametrize(
         "cls", [RuleBasedStrategy, ClassificationStrategy, RegressionStrategy]
     )
@@ -133,6 +124,15 @@ class TestStrategies:
         for kind in ("lr", "dt", "gb"):
             choice = s.choose(_ir(frame, kind, max_depth=3, n_estimators=5))
             assert choice in OPTIONS
+
+    @pytest.mark.parametrize(
+        "cls", [RuleBasedStrategy, ClassificationStrategy, RegressionStrategy]
+    )
+    def test_choice_over_rows_equals_choice_per_row(self, corpus, cls):
+        X, _, _ = corpus_matrices(corpus)
+        s = cls().fit(corpus)
+        per_row = [int(s.choose_rows(X[i : i + 1])[0]) for i in range(len(X))]
+        assert s.choose_rows(X).tolist() == per_row
 
     def test_rule_strategy_uses_k_features(self, corpus):
         s = RuleBasedStrategy(k=3).fit(corpus)
