@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import duckdb
 import numpy as np
@@ -177,7 +178,7 @@ def build_corpus_spark(
                     return np.inf
 
             runtimes["none"] = priced(
-                lambda: spark_exec.with_predict_udf(df, p, "onnx")
+                lambda: spark_exec.with_predict_udf(df, partial(onnx_rt.run, p))
             )
             model = p.model_node
             tree_nodes = (
@@ -199,7 +200,7 @@ def build_corpus_spark(
                 except ValueError:
                     runtimes["sql"] = np.inf
             runtimes["dnn"] = priced(
-                lambda: spark_exec.with_predict_udf(df, p, "dnn")
+                lambda: spark_exec.with_predict_udf(df, compile_to_dnn(p).predict)
             )
             df.unpersist()
             if not all(np.isinf(v) for v in runtimes.values()):

@@ -10,10 +10,14 @@ Pass order follows §5.2 exactly:
 5. join elimination on the relational side,
 6. logical-to-physical runtime selection via the configured strategy
    (MLtoSQL / MLtoDNN / none).
+
+:meth:`PhysicalPlan.scorer` is the one place a plan that keeps an ML
+runtime becomes the batch scorer both engines call.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.core.data_induced import (
     ColumnStats,
@@ -29,6 +33,7 @@ from repro.core.predicate_pruning import (
 from repro.core.projection_pushdown import apply_projection_pushdown
 from repro.core.query import Join, PredictionQuery
 from repro.ir.graph import Pipeline
+from repro.runtime import dnn_rt, onnx_rt
 
 RUNTIME_CHOICES = ("none", "sql", "dnn")
 
@@ -61,7 +66,28 @@ class PhysicalPlan:
 
     @property
     def input_cols(self) -> list[str]:
-        return self.pipeline.input_cols
+        """The columns the plan scores from: the pipeline's inputs, and with
+        partition models their inputs and partition key as well."""
+        if self.partition_models is None:
+            return self.pipeline.input_cols
+        return sorted(set(self.pipeline.input_cols) | set(self.partition_models.input_cols))
+
+    def scorer(self):
+        """``batch -> (label, score)`` for a ``"none"`` or ``"dnn"`` plan:
+        the ML runtime or MLtoDNN's tensor runtime over the pipeline, or
+        over each partition's model when the plan has them (the pipeline
+        then scores rows of no known partition). Models compile here."""
+        assert self.runtime in ("none", "dnn"), self.runtime
+        if self.runtime == "dnn":
+            def compile(p):  # through the module: a wrapper on it sees each compile
+                return dnn_rt.compile_to_dnn(p).predict
+        else:
+            def compile(p):
+                return partial(onnx_rt.run, p)
+        run = compile(self.pipeline)
+        if self.partition_models is None:
+            return run
+        return self.partition_models.scorer(compile, fallback=run)
 
 
 class RavenOptimizer:
@@ -76,8 +102,6 @@ class RavenOptimizer:
         *,
         stats: ColumnStats | None = None,
         partition_sample=None,
-        num_cols: list[str] | None = None,
-        cat_cols: list[str] | None = None,
     ) -> PhysicalPlan:
         cfg = self.config
         p = query.pipeline
@@ -95,8 +119,7 @@ class RavenOptimizer:
         partition_models = None
         if cfg.enable_data_induced and query.partition_col and partition_sample is not None:
             partition_models = compile_partitioned_models(
-                p, partition_sample, query.partition_col,
-                num_cols or [], cat_cols or [],
+                p, partition_sample, query.partition_col
             )
         elif cfg.enable_data_induced and stats is not None:
             res = apply_data_induced_pruning(p, stats)
@@ -111,10 +134,8 @@ class RavenOptimizer:
         # -- relational: join elimination after column pruning -----------
         needed = set(p.input_cols) | query.predicate_cols()
         if partition_models is not None:
-            # per-partition models may need different columns; execution
-            # feeds the union, plus the partition column for dispatch
-            needed |= {c for m in partition_models.models.values() for c in m.input_cols}
-            needed.add(query.partition_col)
+            # execution feeds the partition models' inputs and their key too
+            needed |= set(partition_models.input_cols)
         kept_joins: list[Join] = []
         eliminated: list[str] = []
         for j in query.joins:

@@ -21,7 +21,7 @@ from repro.core.query import Join, PredictionQuery
 from repro.ir.graph import Pipeline
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<str>'(?:[^']|'')*')|(?P<num>-?\d+(?:\.\d+)?)"
+    r"\s*(?:(?P<str>'(?:[^']|'')*')|(?P<num>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<op><=|>=|<>|=|<|>|\(|\)|,|\*|\.)"
     r"|(?P<word>[A-Za-z_][A-Za-z_0-9]*))"
 )

@@ -42,15 +42,9 @@ class RavenSession:
         *,
         stats: ColumnStats | None = None,
         partition_sample: pd.DataFrame | None = None,
-        num_cols: list[str] | None = None,
-        cat_cols: list[str] | None = None,
     ) -> PhysicalPlan:
         return RavenOptimizer(self.config).optimize(
-            query,
-            stats=stats,
-            partition_sample=partition_sample,
-            num_cols=num_cols,
-            cat_cols=cat_cols,
+            query, stats=stats, partition_sample=partition_sample
         )
 
     # -- execution ------------------------------------------------------

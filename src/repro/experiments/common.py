@@ -7,13 +7,16 @@ from dataclasses import dataclass
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
+from repro.bench_util import timeit_trimmed
 from repro.core.corpus import build_corpus
-from repro.core.optimizer import OptimizerConfig
+from repro.core.optimizer import OptimizerConfig, PhysicalPlan
+from repro.core.query import PredictionQuery
 from repro.core.session import RavenSession
 from repro.core.strategies import ClassificationStrategy
 from repro.data import datasets as ds
 from repro.ir.builder import build_pipeline_ir
 from repro.ir.graph import Pipeline
+from repro.runtime import spark_exec
 
 #: benchmark-scale fact-table row counts (paper scales in EXPERIMENTS.md);
 #: wide one-hot datasets run fewer rows to bound per-batch matrices.
@@ -50,6 +53,35 @@ class DatasetEnv:
 
     def session(self, config: OptimizerConfig, spark: SparkSession) -> RavenSession:
         return RavenSession(spark, self.catalog, self.table_cols, config=config)
+
+
+def time_plan(
+    env: DatasetEnv, spark: SparkSession, config: OptimizerConfig,
+    query: PredictionQuery, runs: int, **optimize_kw,
+) -> tuple[float, PhysicalPlan]:
+    """Optimize ``query`` under ``config``, then time the plan end to end
+    into the ``noop`` sink: (trimmed-mean seconds over ``runs``, the plan)."""
+    sess = env.session(config, spark)
+    plan = sess.optimize(query, **optimize_kw)
+    return timeit_trimmed(lambda: spark_exec.sink(sess.execute_plan(plan)), runs=runs), plan
+
+
+#: the rule-ablation configs of the Fig 9 and Fig 10 micro-experiments
+RULE_CONFIGS = {
+    "noopt": OptimizerConfig.no_opt(),
+    "modelproj": OptimizerConfig(
+        enable_predicate_pruning=False, enable_projection_pushdown=True,
+        runtime="none",
+    ),
+    "mltosql": OptimizerConfig(
+        enable_predicate_pruning=False, enable_projection_pushdown=False,
+        runtime="sql",
+    ),
+    "modelproj+mltosql": OptimizerConfig(
+        enable_predicate_pruning=False, enable_projection_pushdown=True,
+        runtime="sql",
+    ),
+}
 
 
 _ENV_CACHE: dict[tuple[str, int], DatasetEnv] = {}

@@ -11,27 +11,15 @@ from __future__ import annotations
 
 from pyspark.sql import SparkSession
 
-from repro.bench_util import print_table, timeit_trimmed
+from repro.bench_util import print_table
 from repro.core.optimizer import OptimizerConfig
 from repro.core.predicate_pruning import Predicate
 from repro.core.session import dataset_query
 from repro.experiments import common
-from repro.runtime import spark_exec
 
 DEPTHS = (3, 5, 8, 12, 20)
 
 RULES = ("noopt", "modelproj", "mltosql")
-_CONFIG = {
-    "noopt": OptimizerConfig.no_opt(),
-    "modelproj": OptimizerConfig(
-        enable_predicate_pruning=False, enable_projection_pushdown=True,
-        runtime="none",
-    ),
-    "mltosql": OptimizerConfig(
-        enable_predicate_pruning=False, enable_projection_pushdown=False,
-        runtime="sql",
-    ),
-}
 
 
 def run(spark: SparkSession, n_rows: int = 200_000, runs: int = 3,
@@ -42,14 +30,12 @@ def run(spark: SparkSession, n_rows: int = 200_000, runs: int = 3,
         p = common.dataset_pipeline("hospital", "dt", max_depth=depth)
         query = dataset_query(env.spec, p, env.tables)
         rec = {"depth": depth, "n_rows": n_rows}
-        sess0 = env.session(_CONFIG["modelproj"], spark)
-        rec["unused_cols"] = len(sess0.optimize(query).removed_cols)
         for rule in RULES:
-            sess = env.session(_CONFIG[rule], spark)
-            plan = sess.optimize(query)
-            rec[rule] = timeit_trimmed(
-                lambda: spark_exec.sink(sess.execute_plan(plan)), runs=runs
+            rec[rule], plan = common.time_plan(
+                env, spark, common.RULE_CONFIGS[rule], query, runs
             )
+            if rule == "modelproj":
+                rec["unused_cols"] = len(plan.removed_cols)
         rec["mltosql_speedup"] = rec["noopt"] / rec["mltosql"]
         rows.append(rec)
     print_table(
@@ -89,11 +75,7 @@ def run_predicate_experiment(
             runtime="none",
         )),
     ):
-        sess = env.session(config, spark)
-        plan = sess.optimize(query)
-        times[label] = timeit_trimmed(
-            lambda: spark_exec.sink(sess.execute_plan(plan)), runs=runs
-        )
+        times[label], plan = common.time_plan(env, spark, config, query, runs)
         if label == "pred_prune+modelproj":
             times["pruned_inputs"] = len(p.input_cols) - len(plan.input_cols)
     times["save_pred"] = 1 - times["pred_prune"] / times["noopt"]

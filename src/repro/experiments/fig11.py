@@ -9,12 +9,11 @@ from __future__ import annotations
 
 from pyspark.sql import SparkSession
 
-from repro.bench_util import print_table, timeit_trimmed
+from repro.bench_util import print_table
 from repro.core.optimizer import OptimizerConfig
 from repro.core.session import dataset_query
 from repro.data import datasets as ds
 from repro.experiments import common
-from repro.runtime import spark_exec
 
 DEPTHS = (10, 15, 20)
 SCHEMES = ("num_issues", "rcount")
@@ -30,37 +29,25 @@ def run(spark: SparkSession, n_rows: int = 200_000, runs: int = 3,
         rec = {"depth": depth, "n_rows": n_rows}
 
         base_query = dataset_query(env.spec, p, env.tables)
-        sess = env.session(OptimizerConfig.no_opt(), spark)
-        plan = sess.optimize(base_query)
-        rec["noopt"] = timeit_trimmed(
-            lambda: spark_exec.sink(sess.execute_plan(plan)), runs=runs
+        rec["noopt"], _ = common.time_plan(
+            env, spark, OptimizerConfig.no_opt(), base_query, runs
         )
 
         # Raven w/o partitioning: best-of prior optimizations
-        sess = env.session(
+        rec["raven_nopart"], _ = common.time_plan(
+            env, spark,
             OptimizerConfig(
                 runtime="auto",
                 strategy=common.classification_strategy("spark", spark),
             ),
-            spark,
-        )
-        plan = sess.optimize(base_query)
-        rec["raven_nopart"] = timeit_trimmed(
-            lambda: spark_exec.sink(sess.execute_plan(plan)), runs=runs
+            base_query, runs,
         )
 
         for scheme in SCHEMES:
             q = dataset_query(env.spec, p, env.tables, partition_col=scheme)
-            sess = env.session(
-                OptimizerConfig(enable_data_induced=True, runtime="none"),
-                spark,
-            )
-            plan = sess.optimize(
-                q, partition_sample=frame,
-                num_cols=env.spec.num_cols, cat_cols=env.spec.cat_cols,
-            )
-            rec[f"raven_{scheme}"] = timeit_trimmed(
-                lambda: spark_exec.sink(sess.execute_plan(plan)), runs=runs
+            rec[f"raven_{scheme}"], _ = common.time_plan(
+                env, spark, OptimizerConfig(enable_data_induced=True, runtime="none"),
+                q, runs, partition_sample=frame,
             )
         rec["best_part_speedup"] = rec["noopt"] / min(
             rec["raven_num_issues"], rec["raven_rcount"]

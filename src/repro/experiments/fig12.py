@@ -17,12 +17,11 @@ from __future__ import annotations
 
 from pyspark.sql import SparkSession
 
-from repro.bench_util import print_table, timeit_trimmed
+from repro.bench_util import print_table
 from repro.core.optimizer import OptimizerConfig
 from repro.core.session import dataset_query
 from repro.data import datasets as ds
 from repro.experiments import common
-from repro.runtime import spark_exec
 from repro.runtime.dnn_rt import compile_to_dnn
 from repro.runtime.gpu_sim import modeled_gpu_seconds
 
@@ -41,17 +40,11 @@ def run(spark: SparkSession, n_rows: int = 150_000, runs: int = 3,
             "hospital", "gb", n_estimators=n_est, max_depth=depth
         )
         query = dataset_query(env.spec, p, env.tables)
-        sess = env.session(OptimizerConfig.no_opt(), spark)
-        noopt_plan = sess.optimize(query)
-        t_noopt = timeit_trimmed(
-            lambda: spark_exec.sink(sess.execute_plan(noopt_plan)), runs=runs
+        t_noopt, _ = common.time_plan(env, spark, OptimizerConfig.no_opt(), query, runs)
+        t_dnn_cpu, dnn_plan = common.time_plan(
+            env, spark, OptimizerConfig(runtime="dnn"), query, runs
         )
-        dnn_sess = env.session(OptimizerConfig(runtime="dnn"), spark)
-        dnn_plan = dnn_sess.optimize(query)
         assert dnn_plan.runtime == "dnn"
-        t_dnn_cpu = timeit_trimmed(
-            lambda: spark_exec.sink(dnn_sess.execute_plan(dnn_plan)), runs=runs
-        )
 
         # CPU-resident share: the same plan with a trivial single-leaf
         # model (keeps scan + featurization + UDF machinery, removes the
@@ -60,17 +53,14 @@ def run(spark: SparkSession, n_rows: int = 150_000, runs: int = 3,
 
         stub = p.clone()
         stub.model_node.attrs["trees"] = [leaf_tree([0.0])]
-        stub_sess = env.session(
+        t_overhead, _ = common.time_plan(
+            env, spark,
             OptimizerConfig(
                 enable_predicate_pruning=False,
                 enable_projection_pushdown=False,  # keep full featurization
                 runtime="dnn",
             ),
-            spark,
-        )
-        stub_plan = stub_sess.optimize(query.with_pipeline(stub))
-        t_overhead = timeit_trimmed(
-            lambda: spark_exec.sink(dnn_sess.execute_plan(stub_plan)), runs=runs
+            query.with_pipeline(stub), runs,
         )
         dnn = compile_to_dnn(p)
         gpu_tensor_total = modeled_gpu_seconds(dnn, n_rows).total_s

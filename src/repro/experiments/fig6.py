@@ -19,7 +19,7 @@ from repro.core.optimizer import OptimizerConfig
 from repro.core.session import dataset_query
 from repro.data import datasets as ds
 from repro.experiments import common
-from repro.runtime import spark_exec
+from repro.runtime import reference_rt, spark_exec
 
 PAPER_SPEEDUP_RANGE = (1.4, 13.1)  # Raven vs Raven (no-opt)
 
@@ -46,7 +46,8 @@ def _run_one(spark: SparkSession, env, kind: str, system: str, runs: int) -> tup
         ), "-"
     if system == "spark_ref":
         df = spark_exec.build_input_df(env.catalog, query, env.spec.input_cols)
-        pred = spark_exec.with_predict_udf(df, query.pipeline, runtime="reference")
+        p = query.pipeline
+        pred = spark_exec.with_predict_udf(df, lambda b: reference_rt.run(p, b.to_pandas()))
         return timeit_trimmed(lambda: spark_exec.sink(pred), runs=runs), "-"
 
     config = (
@@ -55,12 +56,8 @@ def _run_one(spark: SparkSession, env, kind: str, system: str, runs: int) -> tup
         else OptimizerConfig(runtime="auto",
                         strategy=common.classification_strategy("spark", spark))
     )
-    sess = env.session(config, spark)
-    plan = sess.optimize(query)
-    choice = plan.runtime if system == "raven" else "-"
-    return timeit_trimmed(
-        lambda: spark_exec.sink(sess.execute_plan(plan)), runs=runs
-    ), choice
+    seconds, plan = common.time_plan(env, spark, config, query, runs)
+    return seconds, plan.runtime if system == "raven" else "-"
 
 
 def run(spark: SparkSession, scale: float = 1.0, runs: int = 3,

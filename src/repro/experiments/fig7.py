@@ -8,11 +8,10 @@ from __future__ import annotations
 
 from pyspark.sql import SparkSession
 
-from repro.bench_util import print_table, timeit_trimmed
+from repro.bench_util import print_table
 from repro.core.optimizer import OptimizerConfig
 from repro.core.session import dataset_query
 from repro.experiments import common
-from repro.runtime import spark_exec
 
 PAPER = {"lr": (1.96, 4.36), "gb": (1.37, 1.67)}
 
@@ -35,11 +34,7 @@ def run(spark: SparkSession, sizes=SIZES, runs: int = 3) -> list[dict]:
                     strategy=common.classification_strategy("spark", spark),
                 )),
             ):
-                sess = env.session(config, spark)
-                plan = sess.optimize(query)
-                times[label] = timeit_trimmed(
-                    lambda: spark_exec.sink(sess.execute_plan(plan)), runs=runs
-                )
+                times[label], _ = common.time_plan(env, spark, config, query, runs)
             rows.append(
                 {
                     "model": kind, "n_rows": n,

@@ -27,10 +27,6 @@ ROWS = {
 MODELS = ("lr", "dt", "gb")
 
 
-def _time(fn, runs: int) -> float:
-    return timeit_trimmed(lambda: fn(), runs=runs)
-
-
 def run(scale: float = 1.0, runs: int = 3, datasets=ds.DATASETS) -> list[dict]:
     strategy = common.classification_strategy()
     rows = []
@@ -49,16 +45,16 @@ def run(scale: float = 1.0, runs: int = 3, datasets=ds.DATASETS) -> list[dict]:
             for dop in (1, 16):
                 eng = SqlServerSim(tables, threads=dop)
                 try:
-                    rec[f"sqlserver_dop{dop}"] = _time(
-                        lambda: eng.run_predict_statement(query, p), runs
+                    rec[f"sqlserver_dop{dop}"] = timeit_trimmed(
+                        lambda: eng.run_predict_statement(query, p), runs=runs
                     )
                     if plan.runtime == "sql":
-                        rec[f"raven_dop{dop}"] = _time(
-                            lambda: eng.run_raven_sql(plan), runs
+                        rec[f"raven_dop{dop}"] = timeit_trimmed(
+                            lambda: eng.run_raven_sql(plan), runs=runs
                         )
                     else:
-                        rec[f"raven_dop{dop}"] = _time(
-                            lambda: eng.run_raven_predict(plan), runs
+                        rec[f"raven_dop{dop}"] = timeit_trimmed(
+                            lambda: eng.run_raven_predict(plan), runs=runs
                         )
                 finally:
                     eng.close()
@@ -67,7 +63,7 @@ def run(scale: float = 1.0, runs: int = 3, datasets=ds.DATASETS) -> list[dict]:
             mp = common.dataset_pipeline(name, mkind)
             if madlib_supported(mp):
                 mq = dataset_query(spec, mp, tables)
-                rec["madlib"] = _time(lambda: run_madlib(tables, mq, mp), runs)
+                rec["madlib"] = timeit_trimmed(lambda: run_madlib(tables, mq, mp), runs=runs)
                 rec["madlib_model"] = mkind
             else:
                 rec["madlib"] = np.nan

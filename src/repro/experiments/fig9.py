@@ -16,32 +16,13 @@ from __future__ import annotations
 import numpy as np
 from pyspark.sql import SparkSession
 
-from repro.bench_util import print_table, timeit_trimmed
-from repro.core.optimizer import OptimizerConfig
+from repro.bench_util import print_table
 from repro.core.session import dataset_query
 from repro.experiments import common
-from repro.runtime import spark_exec
 
 ALPHAS = (0.001, 0.01, 0.1, 1.0, 2.0)
 
 RULES = ("noopt", "modelproj", "mltosql", "modelproj+mltosql")
-
-_CONFIG = {
-    "noopt": OptimizerConfig.no_opt(),
-    "modelproj": OptimizerConfig(
-        enable_predicate_pruning=False, enable_projection_pushdown=True,
-        runtime="none",
-    ),
-    "mltosql": OptimizerConfig(
-        enable_predicate_pruning=False, enable_projection_pushdown=False,
-        runtime="sql",
-    ),
-    "modelproj+mltosql": OptimizerConfig(
-        enable_predicate_pruning=False, enable_projection_pushdown=True,
-        runtime="sql",
-    ),
-}
-
 
 #: calibrated on the Credit Card training frame: zero-weight counts of
 #: roughly 24/20/15/8/2 out of 28, spanning the paper's sparsity sweep
@@ -61,11 +42,7 @@ def run(spark: SparkSession, n_rows: int = 200_000, runs: int = 3) -> list[dict]
         query = dataset_query(env.spec, p, env.tables)
         rec = {"alpha": alpha, "zero_weights": zero_w, "n_rows": n_rows}
         for rule in RULES:
-            sess = env.session(_CONFIG[rule], spark)
-            plan = sess.optimize(query)
-            rec[rule] = timeit_trimmed(
-                lambda: spark_exec.sink(sess.execute_plan(plan)), runs=runs
-            )
+            rec[rule], _ = common.time_plan(env, spark, common.RULE_CONFIGS[rule], query, runs)
         rec["best"] = min(RULES, key=lambda r: rec[r])
         rows.append(rec)
     print_table(

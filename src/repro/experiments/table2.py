@@ -46,9 +46,7 @@ def run(n_rows: int = 60_000, seed: int = 0) -> list[dict]:
                 pushed = apply_projection_pushdown(pruned.pipeline)
                 measured[scheme] = len(set(pushed.removed_cols) - baseline_removed)
             else:
-                pm = compile_partitioned_models(
-                    p, frame, scheme, spec.num_cols, spec.cat_cols
-                )
+                pm = compile_partitioned_models(p, frame, scheme)
                 extra = [
                     len(set(cols) - baseline_removed)
                     for cols in pm.pruned_cols.values()

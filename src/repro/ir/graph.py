@@ -131,14 +131,6 @@ class Pipeline:
         assert len(cols) == len(set(cols)), "duplicate input columns"
         assert set(cols) <= set(self.input_order), "input not in input_order"
 
-    # -- statistics used by §5.2 strategy features ----------------------
-    def count_ops(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for nid in self.topo_order():
-            op = self.nodes[nid].op
-            counts[op] = counts.get(op, 0) + 1
-        return counts
-
     def n_model_features(self) -> int:
         """Width of the model node's input feature vector."""
         return int(sum(node_width(self, i) for i in self.model_node.inputs))

@@ -140,12 +140,11 @@ class Tree:
             rights[new] = build(int(self.right[node]), lo_r, hi)
             return new
 
-        root = build(0, lo, hi)
-        tree = Tree(
+        build(0, lo, hi)  # emits the (surviving) root first, at index 0
+        return Tree(
             np.array(feats), np.array(thrs), np.array(lefts), np.array(rights),
             np.array(values),
         )
-        return tree if root == 0 else _reroot(tree, root)
 
     def remap_features(self, mapping: dict[int, int]) -> "Tree":
         """Densification step of model-projection pushdown: renumber split
@@ -215,32 +214,6 @@ class Tree:
             np.array(feats), np.array(thrs), np.array(lefts), np.array(rights),
             np.array(values),
         )
-
-
-def _reroot(tree: Tree, root: int) -> Tree:
-    """Renumber so that ``root`` becomes node 0 (children ids are already
-    self-consistent because ``build`` emitted a connected subtree)."""
-    # Collect reachable nodes in preorder and build an old->new map.
-    order: list[int] = []
-
-    def walk(node: int) -> None:
-        order.append(node)
-        if tree.left[node] != LEAF:
-            walk(int(tree.left[node]))
-            walk(int(tree.right[node]))
-
-    walk(root)
-    old_to_new = {old: new for new, old in enumerate(order)}
-    sel = np.array(order)
-    left = np.array(
-        [LEAF if tree.left[o] == LEAF else old_to_new[int(tree.left[o])] for o in order],
-        dtype=np.int32,
-    )
-    right = np.array(
-        [LEAF if tree.right[o] == LEAF else old_to_new[int(tree.right[o])] for o in order],
-        dtype=np.int32,
-    )
-    return Tree(tree.feature[sel], tree.threshold[sel], left, right, tree.value[sel])
 
 
 def leaf_tree(value: np.ndarray) -> Tree:

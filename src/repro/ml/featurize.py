@@ -53,22 +53,3 @@ class OneHotEncoder:
     @property
     def n_categories(self) -> int:
         return len(self.categories_)
-
-
-@dataclass
-class LabelEncoder:
-    """String label -> integer id (fitted order = sorted unique)."""
-
-    classes_: list = field(default_factory=list)
-
-    def fit(self, values) -> "LabelEncoder":
-        self.classes_ = sorted(pd.unique(pd.Series(values).astype(str)))
-        return self
-
-    def transform(self, values) -> np.ndarray:
-        lut = {c: i for i, c in enumerate(self.classes_)}
-        return np.array([lut[str(v)] for v in values], dtype=np.int64)
-
-    def inverse_transform(self, ids: np.ndarray) -> np.ndarray:
-        cls = np.asarray(self.classes_, dtype=object)
-        return cls[np.asarray(ids, dtype=np.int64)]

@@ -8,16 +8,16 @@ is either
   Spark's optimizer then pushes the referenced columns/filters further):
   the model's one output column is selected once and the label and score
   derive from it, or
-- an Arrow-vectorized ``mapInArrow`` UDF driving an ML runtime over 10k-
+- an Arrow-vectorized ``mapInArrow`` UDF driving a batch scorer over 10k-
   row batches (:func:`with_predict_udf`) — the architecture of the
-  paper's Raven Python UDF (§6), except that the model is not cached per
-  process: it is pickled into every task's closure. The runtime reads
-  each Arrow record batch as it arrives (string columns come as
-  ``string``, or as ``large_string`` under
+  paper's Raven Python UDF (§6), except that the scorer is not cached per
+  process: it is pickled into every task's closure. The scorer is the
+  plan's own (:meth:`~repro.core.optimizer.PhysicalPlan.scorer`): the ML
+  runtime or MLtoDNN's tensor runtime, per partition when the plan holds
+  partition models (§4.2). It reads each Arrow record batch as it arrives
+  (string columns come as ``string``, or as ``large_string`` under
   ``spark.sql.execution.arrow.useLargeVarTypes``), so the model inputs
-  cross the JVM/Python boundary once. The partitioned-model path splits a
-  batch by Arrow filters on the partition column; the ``reference``
-  runtime converts to pandas inside the mapper.
+  cross the JVM/Python boundary once.
 
 Both paths return only ``prediction`` and ``score``
 (:data:`PREDICTION_SCHEMA`), never the model inputs.
@@ -30,10 +30,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
@@ -41,7 +39,6 @@ from repro.core.ml2sql import SqlPrediction
 from repro.core.optimizer import PhysicalPlan
 from repro.core.predicate_pruning import Predicate
 from repro.core.query import PredictionQuery
-from repro.runtime import onnx_rt
 
 #: paper §6: vectorized-UDF batch size of 10k tuples
 UDF_BATCH_ROWS = 10_000
@@ -98,44 +95,10 @@ def with_predict_sql(df: DataFrame, sql: SqlPrediction) -> DataFrame:
     )
 
 
-def with_predict_udf(
-    df: DataFrame,
-    pipeline,
-    runtime: str = "onnx",
-    partition_models=None,
-    partition_col: str | None = None,
-) -> DataFrame:
+def with_predict_udf(df: DataFrame, run_batch) -> DataFrame:
     """``prediction``/``score`` of every row of ``df``, through the
-    vectorized Arrow UDF; the input columns are not returned."""
-    if runtime == "dnn":
-        from repro.runtime.dnn_rt import compile_to_dnn
-
-        run_batch = compile_to_dnn(pipeline).predict
-
-    elif runtime == "reference":
-        from repro.runtime import reference_rt
-
-        def run_batch(batch: pa.RecordBatch):
-            return reference_rt.run(pipeline, batch.to_pandas())
-
-    elif partition_models is not None:
-        models = dict(partition_models.models)
-
-        def run_batch(batch: pa.RecordBatch):
-            label = np.zeros(batch.num_rows, dtype=np.int64)
-            score = np.zeros(batch.num_rows)
-            keys = batch.column(partition_col)
-            for v in pc.unique(keys).drop_null().to_pylist():
-                # rows with a NULL key match no partition and keep label 0
-                hit = pc.fill_null(pc.equal(keys, v), False)
-                rows = np.flatnonzero(hit.to_numpy(zero_copy_only=False))
-                label[rows], score[rows] = onnx_rt.run(models[str(v)], batch.filter(hit))
-            return label, score
-
-    else:
-
-        def run_batch(batch: pa.RecordBatch):
-            return onnx_rt.run(pipeline, batch)
+    vectorized Arrow UDF scoring each record batch with ``run_batch(batch)
+    -> (label, score)``; the input columns are not returned."""
 
     def mapper(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
         for batch in batches:
@@ -153,28 +116,11 @@ def with_predict_udf(
 def execute_plan(catalog: dict[str, DataFrame], plan: PhysicalPlan) -> DataFrame:
     """Full query: data plan -> PREDICT -> output filter."""
     query = plan.query
-    select = list(plan.input_cols)
-    if plan.partition_models is not None:
-        extra = {
-            c
-            for m in plan.partition_models.models.values()
-            for c in m.input_cols
-        }
-        extra.add(query.partition_col)
-        select = sorted(set(select) | extra)
-    df = build_input_df(catalog, query, select)
-
+    df = build_input_df(catalog, query, plan.input_cols)
     if plan.runtime == "sql":
         df = with_predict_sql(df, plan.sql)
     else:
-        df = with_predict_udf(
-            df,
-            plan.pipeline,
-            runtime="dnn" if plan.runtime == "dnn" else "onnx",
-            partition_models=plan.partition_models,
-            partition_col=query.partition_col,
-        )
-
+        df = with_predict_udf(df, plan.scorer())
     if query.output_filter is not None:
         col, val = query.output_filter
         df = df.filter(F.col(col) == F.lit(int(val)))

@@ -10,18 +10,22 @@ columnstore engine with a configurable degree of parallelism
   reads Arrow; no pandas conversion), mirroring SQL Server's PREDICT that
   invokes ONNX Runtime per batch.
 - :meth:`SqlServerSim.run_raven_predict` — Raven's plan that keeps the ML
-  runtime (or MLtoDNN's tensor runtime for a ``"dnn"`` plan): the
-  column-pruned scan of :func:`encoded_scan`, which moves
-  the one-hot lookup into the engine (the FeatureExtractor pushed through
-  OneHotEncoder into the scan, §4.1). Each table of the star is a derived
-  table holding its model columns, join keys and WHERE conjuncts, with
-  every one-hot VARCHAR column replaced by its 1-based position among the
-  model's categories (0: none of them; NULL is looked up as ``'None'``,
-  the runtime's rule), cast to the narrowest integer type. So only small
+  runtime (or MLtoDNN's tensor runtime for a ``"dnn"`` plan), scored by
+  the plan's own batch scorer
+  (:meth:`~repro.core.optimizer.PhysicalPlan.scorer`), per partition when
+  the plan holds partition models (§4.2). The scan is the column-pruned
+  one of :func:`encoded_scan`, which moves the one-hot lookup into the
+  engine (the FeatureExtractor pushed through OneHotEncoder into the
+  scan, §4.1). Each table of the star is a derived table holding its
+  model columns, join keys and WHERE conjuncts, with every one-hot
+  VARCHAR column replaced by its 1-based position among the model's
+  categories (0: none of them; NULL is looked up as ``'None'``, the
+  runtime's rule), cast to the narrowest integer type. So only small
   integer codes cross the join and the Arrow boundary; the runtime reads
   each code column as a dictionary array over the category list. A
   column whose table is unknown, or a non-VARCHAR one-hot column, sends
-  the query down the baseline's string scan.
+  the query down the baseline's string scan, and so does a partitioned
+  plan, whose dispatch reads the partition key's values, not codes.
 - :meth:`SqlServerSim.run_raven_sql` — Raven's output: the whole optimized
   prediction query (including the MLtoSQL-translated model) as one SQL
   statement the engine plans end-to-end.
@@ -52,7 +56,6 @@ from repro.core.predicate_pruning import Predicate
 from repro.core.query import PredictionQuery
 from repro.ir.graph import Pipeline
 from repro.runtime import onnx_rt
-from repro.runtime.dnn_rt import compile_to_dnn
 
 PREDICT_BATCH_ROWS = 10_000
 
@@ -244,19 +247,14 @@ class SqlServerSim:
         return EngineResult(agg, time.perf_counter() - t0)
 
     # -- Raven plan that still needs the ML runtime ---------------------
-    def run_raven_predict(
-        self, plan: PhysicalPlan
-    ) -> EngineResult:
+    def run_raven_predict(self, plan: PhysicalPlan) -> EngineResult:
         """Raven logical opts applied, runtime = ML (column-pruned scan,
         one-hot columns encoded in the engine when :func:`encoded_scan`
-        can place them), scored by the plan's runtime: MLtoDNN for
-        ``"dnn"``, else the ML runtime."""
-        p = plan.pipeline
-        if plan.runtime == "dnn":
-            predict = compile_to_dnn(p).predict
-        else:
-            predict = partial(onnx_rt.run, p)
-        scan = encoded_scan(plan.query, p, self.types)
+        can place them), scored by the plan's scorer."""
+        predict = plan.scorer()
+        scan = None
+        if plan.partition_models is None:
+            scan = encoded_scan(plan.query, plan.pipeline, self.types)
         if scan is None:
-            scan = EncodedScan(data_select_sql(plan.query, list(p.input_cols)), {})
+            scan = EncodedScan(data_select_sql(plan.query, plan.input_cols), {})
         return self._predict(scan, plan.query, predict)

@@ -180,13 +180,6 @@ class TestBuilderAndRuntimes:
             for dep in p.nodes[nid].inputs:
                 assert pos[dep] < pos[nid]
 
-    def test_count_ops(self, ir_and_frame):
-        p, _, _ = ir_and_frame
-        counts = p.count_ops()
-        assert counts["input"] == 4
-        assert counts["onehot"] == 2
-        assert counts["scaler"] == 1
-
     def test_slots_cover_features(self, ir_and_frame):
         p, tp, _ = ir_and_frame
         slots = model_input_slots(p)

@@ -331,7 +331,7 @@ class TestDataInduced:
 
     def test_partitioned_null_numeric_keeps_labels(self, null_x):
         _, p, rows = null_x
-        pm = compile_partitioned_models(p, rows, "c", ["x", "y"], ["c"])
+        pm = compile_partitioned_models(p, rows, "c")
         assert set(pm.models) == {"a", "b", "c"}
         for v, mp in pm.models.items():
             part = rows[rows.c == v]
@@ -359,9 +359,7 @@ class TestDataInduced:
 
     def test_partitioned_models_equivalent_per_partition(self, frame):
         p = _ir(frame, "dt", max_depth=8)
-        pm = compile_partitioned_models(
-            p, frame, "smoker", ["age", "bpm", "weight"], ["asthma", "smoker"]
-        )
+        pm = compile_partitioned_models(p, frame, "smoker")
         assert set(pm.models) == {"no", "yes", "quit"}
         for v, mp in pm.models.items():
             part = frame[frame.smoker == v]
@@ -371,9 +369,7 @@ class TestDataInduced:
 
     def test_partitioned_prunes_partition_column_itself(self, frame):
         p = _ir(frame, "dt", max_depth=8)
-        pm = compile_partitioned_models(
-            p, frame, "smoker", ["age", "bpm", "weight"], ["asthma", "smoker"]
-        )
+        pm = compile_partitioned_models(p, frame, "smoker")
         # within one partition the smoker one-hot block is constant, so
         # every per-partition model should have dropped the smoker input
         for v, mp in pm.models.items():

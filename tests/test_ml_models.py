@@ -4,7 +4,7 @@ import pandas as pd
 import pytest
 
 from repro.ml.ensemble import GradientBoosting, RandomForest, sigmoid
-from repro.ml.featurize import LabelEncoder, OneHotEncoder, StandardScaler
+from repro.ml.featurize import OneHotEncoder, StandardScaler
 from repro.ml.linear import LogisticRegression
 from repro.ml.pipeline import fit_pipeline
 
@@ -120,11 +120,6 @@ class TestFeaturizers:
     def test_onehot_unknown_is_all_zero(self):
         enc = OneHotEncoder().fit(["x", "y"])
         np.testing.assert_array_equal(enc.transform(["z"]), [[0, 0]])
-
-    def test_label_encoder_roundtrip(self):
-        le = LabelEncoder().fit(["hi", "lo", "hi"])
-        ids = le.transform(["lo", "hi"])
-        assert le.inverse_transform(ids).tolist() == ["lo", "hi"]
 
 
 class TestFitPipeline:

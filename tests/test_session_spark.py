@@ -195,8 +195,11 @@ class TestHospitalEndToEnd:
         # the tensor runtime scores linear models in float32; the UDF must
         # still hand Spark the declared long/double columns, and the MLtoSQL
         # path the same two
+        from functools import partial
+
         from repro.core.ml2sql import compile_to_sql
-        from repro.runtime import onnx_rt
+        from repro.runtime import onnx_rt, reference_rt
+        from repro.runtime.dnn_rt import compile_to_dnn
 
         spec, tables, catalog, frame = hospital_env
         p = _pipeline(spec, frame, kind, max_depth=5, l1=0.02)
@@ -204,7 +207,12 @@ class TestHospitalEndToEnd:
         if runtime == "sql":
             out = spark_exec.with_predict_sql(df, compile_to_sql(p))
         else:
-            out = spark_exec.with_predict_udf(df, p, runtime=runtime)
+            scorer = {
+                "onnx": partial(onnx_rt.run, p),
+                "dnn": compile_to_dnn(p).predict,
+                "reference": lambda b: reference_rt.run(p, b.to_pandas()),
+            }[runtime]
+            out = spark_exec.with_predict_udf(df, scorer)
         assert out.dtypes == [("prediction", "bigint"), ("score", "double")]
         got = out.toPandas()
         label, _ = onnx_rt.run(p, frame)
@@ -219,10 +227,7 @@ class TestHospitalEndToEnd:
             spark, catalog, tables,
             OptimizerConfig(enable_data_induced=True, runtime="none"),
         )
-        plan = raven.optimize(
-            query, partition_sample=frame,
-            num_cols=spec.num_cols, cat_cols=spec.cat_cols,
-        )
+        plan = raven.optimize(query, partition_sample=frame)
         assert plan.partition_models is not None
         assert len(plan.partition_models.models) == 6
         opt = _collect(raven.execute_plan(plan))
@@ -234,6 +239,31 @@ class TestHospitalEndToEnd:
         np.testing.assert_array_equal(
             opt["prediction"].to_numpy(), base["prediction"].to_numpy()
         )
+
+
+class TestPartitionedPlans:
+    @pytest.mark.parametrize("runtime", ["none", "dnn"])
+    def test_null_and_unseen_keys_keep_labels(self, spark, runtime):
+        # every 15th key is NULL and partition p4 has no model: those rows
+        # are scored by the unpartitioned pipeline, the rest by their
+        # partition's model, and no label moves
+        from repro.core.optimizer import RavenOptimizer
+        from repro.runtime import onnx_rt
+        from repro.runtime.dnn_rt import compile_to_dnn
+        from tests.partitioned import partitioned_case
+
+        t, query, sample = partitioned_case()
+        plan = RavenOptimizer(
+            OptimizerConfig(enable_data_induced=True, runtime=runtime)
+        ).optimize(query, partition_sample=sample)
+        assert plan.runtime == runtime and len(plan.partition_models.models) == 4
+        catalog = spark_exec.register_pandas_tables(spark, {"t": t})
+        got = spark_exec.execute_plan(catalog, plan).toPandas()["prediction"]
+        if runtime == "dnn":
+            want, _ = compile_to_dnn(query.pipeline).predict(t)
+        else:
+            want, _ = onnx_rt.run(query.pipeline, t)
+        np.testing.assert_array_equal(got.to_numpy(), want)
 
 
 class TestJoinDatasets:

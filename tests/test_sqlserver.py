@@ -15,11 +15,12 @@ from repro.core.session import dataset_query
 from repro.data import datasets as ds
 from repro.ir.builder import build_pipeline_ir
 from repro.ml.pipeline import fit_pipeline
-from repro.runtime import onnx_rt
+from repro.runtime import dnn_rt, onnx_rt
 from repro.runtime.dnn_rt import compile_to_dnn
 from repro.sqlserver import engine
 from repro.sqlserver.engine import SqlServerSim, data_select_sql, encoded_scan
 from repro.sqlserver.madlib import madlib_supported, run_madlib
+from tests.partitioned import partitioned_case
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +149,23 @@ class TestSqlServerSim:
         assert q.where[0].value == "O'Brien"
         assert sum(self._counts(tables, q, p).values()) == (names == "O'Brien").sum()
 
+    @pytest.mark.parametrize("text,value", [
+        ("1e-05", 1e-05), (".5", 0.5), ("-2.5E+3", -2500.0), ("+3", 3.0),
+        ("7.", 7.0), ("1.00000000000000000e+02", 100.0),
+    ])
+    def test_numeric_literal_forms(self, text, value):
+        """E-notation, a leading '.' and a sign parse; so the constants
+        :func:`repro.core.ml2sql._lit` writes parse back exactly."""
+        p = build_pipeline_ir(fit_pipeline(
+            pd.DataFrame({"x": [0.0, 1.0, 2.0, 3.0], "label": [0, 0, 1, 1]}),
+            ["x"], [], "label", "lr",
+        ))
+        q = parse_prediction_query(
+            f"SELECT PREDICT(m, *) FROM t WHERE x >= {text} AND x < {engine._lit(value)}",
+            {"m": p}, {"t": ["x"]},
+        )
+        assert [w.value for w in q.where] == [value, value]
+
     def test_numeric_constant_on_a_row_value(self):
         """A WHERE constant equal to a stored double keeps that row: DuckDB
         reads a plain decimal literal as DECIMAL, whose cast to DOUBLE is
@@ -251,6 +269,74 @@ class TestSqlServerSim:
             eng.close()
         want = dict(zip(*np.unique(label, return_counts=True)))
         assert dict(zip(res.agg["prediction"], res.agg["n"])) == want
+
+
+def _oracle_counts(runtime, p, rows):
+    """Label counts of the unoptimized pipeline on the plan's runtime."""
+    if runtime == "dnn":
+        label, _ = compile_to_dnn(p).predict(rows)
+    else:
+        label, _ = onnx_rt.run(p, rows)
+    return dict(zip(*np.unique(label, return_counts=True)))
+
+
+class TestPartitionedPlan:
+    """§4.2's per-partition models on the ML-runtime path: each row is
+    scored by its partition's model, and a row whose key is NULL or has no
+    model by the unpartitioned one."""
+
+    def _plan(self, runtime):
+        t, q, sample = partitioned_case()
+        plan = RavenOptimizer(
+            OptimizerConfig(enable_data_induced=True, runtime=runtime)
+        ).optimize(q, partition_sample=sample)
+        assert plan.runtime == runtime
+        assert sorted(plan.partition_models.models) == ["p0", "p1", "p2", "p3"]
+        return t, plan
+
+    def _run(self, t, plan):
+        eng = SqlServerSim({"t": t}, threads=2)
+        try:
+            res = eng.run_raven_predict(plan)
+        finally:
+            eng.close()
+        return dict(zip(res.agg["prediction"], res.agg["n"]))
+
+    @pytest.mark.parametrize("runtime", ["none", "dnn"])
+    def test_null_and_unseen_keys_keep_labels(self, runtime):
+        t, plan = self._plan(runtime)
+        assert self._run(t, plan) == _oracle_counts(runtime, plan.pipeline, t)
+
+    def test_rows_go_to_their_partition_model(self, monkeypatch):
+        t, plan = self._plan("none")
+        scored: dict[int, int] = {}
+        run = onnx_rt.run
+
+        def spy(p, batch):
+            scored[id(p)] = scored.get(id(p), 0) + batch.num_rows
+            return run(p, batch)
+
+        monkeypatch.setattr(onnx_rt, "run", spy)
+        self._run(t, plan)
+        models = plan.partition_models.models
+        want = {id(models[k]): n for k, n in t.k.value_counts().items() if k in models}
+        want[id(plan.pipeline)] = int((t.k.isna() | (t.k == "p4")).sum())
+        assert scored == want
+
+    def test_dnn_compiles_each_partition_model_once(self, monkeypatch):
+        t, plan = self._plan("dnn")
+        want = _oracle_counts("dnn", plan.pipeline, t)
+        compiled = []
+        compile = dnn_rt.compile_to_dnn
+
+        def spy(p):
+            compiled.append(id(p))
+            return compile(p)
+
+        monkeypatch.setattr(dnn_rt, "compile_to_dnn", spy)
+        assert self._run(t, plan) == want
+        models = plan.partition_models.models.values()
+        assert sorted(compiled) == sorted([id(plan.pipeline)] + [id(m) for m in models])
 
 
 @pytest.fixture(scope="module")
