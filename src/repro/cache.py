@@ -28,7 +28,7 @@ from typing import Callable, TypeVar
 
 T = TypeVar("T")
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 log = logging.getLogger(__name__)
 

@@ -6,7 +6,7 @@ downloadable here, so this module *generates* a comparable corpus: ~120
 trained pipelines whose knobs sweep the ranges Fig 1 reports (inputs
 2–60, categorical fractions, one-hot cardinalities up to several hundred,
 all four model families, 1–200 trees, depths 2–12), then measures each
-pipeline under {none, MLtoSQL, MLtoDNN} **on this machine** — the paper's
+pipeline under {none, MLtoSQL, MLtoDNN} **on its deployment engine** — the paper's
 own protocol ("users can go through this process once to fine-tune the
 strategy on their workload and hardware").
 
@@ -15,29 +15,38 @@ pipelines and their features are deterministic in the seed.
 """
 from __future__ import annotations
 
+import os
 import time
-from dataclasses import dataclass
-from functools import partial
+from contextlib import closing, contextmanager
+from dataclasses import dataclass, field
 
-import duckdb
 import numpy as np
 import pandas as pd
+from py4j.protocol import Py4JJavaError
 
 from repro.cache import cached
 from repro.core.features import pipeline_features
-from repro.core.ml2sql import compile_to_sql
+from repro.core.optimizer import OptimizerConfig, RavenOptimizer
+from repro.core.predicate_pruning import tree_ensemble_size
+from repro.core.query import PredictionQuery
 from repro.ir.builder import build_pipeline_ir
 from repro.ml.pipeline import fit_pipeline
-from repro.runtime import onnx_rt
-from repro.runtime.dnn_rt import compile_to_dnn
+from repro.runtime import spark_exec
+from repro.sqlserver.engine import EngineError, SqlServerSim
 
 OPTIONS = ("none", "sql", "dnn")
+
+#: MLtoSQL over a larger tree ensemble is priced ``inf`` unrun: Spark runs it
+#: interpreted for minutes, and on DuckDB it was never the best option (0.6-5.9
+#: s against under 0.07 s for the best, on 5k rows).
+SQL_MAX_TREE_NODES = 4000
 
 
 @dataclass
 class CorpusEntry:
     features: np.ndarray  # 22-dim statistics
-    runtimes: dict[str, float]  # option -> seconds (inf if unsupported)
+    runtimes: dict[str, float]  # option -> seconds (inf if unpriced)
+    unpriced: dict[str, str] = field(default_factory=dict)  # option -> why inf
 
     @property
     def best(self) -> str:
@@ -75,7 +84,7 @@ def _make_frame(spec: dict, n: int, seed: int) -> pd.DataFrame:
     return pdf
 
 
-def _measure(fn, reps: int = 2) -> float:
+def _measure(fn, reps: int) -> float:
     best = np.inf
     for _ in range(reps):
         t0 = time.perf_counter()
@@ -102,115 +111,73 @@ def _corpus_pipelines(n_pipelines: int, n_rows_train: int, n_rows_eval: int,
         yield p, eval_pdf
 
 
+@contextmanager
+def _engine(spark, eval_pdf: pd.DataFrame):
+    """``plan -> None`` running a plan over table ``t`` the way a query runs
+    it: on Spark (the table cached first) into the ``noop`` sink when a
+    session is given, else on the single-node engine."""
+    if spark is None:
+        with closing(SqlServerSim({"t": eval_pdf}, threads=os.cpu_count())) as eng:
+            yield lambda plan: (
+                eng.run_raven_sql if plan.runtime == "sql" else eng.run_raven_predict
+            )(plan)
+        return
+    df = spark.createDataFrame(eval_pdf).cache()
+    df.count()
+    try:
+        yield lambda plan: spark_exec.sink(spark_exec.execute_plan({"t": df}, plan))
+    finally:
+        df.unpersist()
+
+
 def build_corpus(
     n_pipelines: int = 120, *, n_rows_train: int = 1500, n_rows_eval: int = 20_000,
-    seed: int = 7,
+    seed: int = 7, spark=None,
 ) -> list[CorpusEntry]:
-    """Corpus priced on the single-node engine paths — used by the SQL
-    Server experiments. The "none" option is priced the way the engine
-    actually runs it (PREDICT statement: scan + batched Arrow fetch into
-    the ML runtime), not as a bare in-process NumPy call."""
-
-    def build() -> list[CorpusEntry]:
-        entries: list[CorpusEntry] = []
-        for p, eval_pdf in _corpus_pipelines(n_pipelines, n_rows_train, n_rows_eval, seed):
-            runtimes: dict[str, float] = {}
-
-            def predict_statement():
-                con = duckdb.connect()
-                try:
-                    con.register("t", eval_pdf)
-                    reader = con.execute("SELECT * FROM t").fetch_record_batch(10_000)
-                    for batch in reader:
-                        onnx_rt.run(p, batch)
-                finally:
-                    con.close()
-
-            runtimes["none"] = _measure(predict_statement)
-            try:
-                sqlp = compile_to_sql(p)
-                con = duckdb.connect()
-                try:
-                    con.register("t", eval_pdf)
-                    q = (
-                        f"SELECT {sqlp.label('_out')} AS prediction, "
-                        f"{sqlp.score('_out')} AS score "
-                        f"FROM (SELECT {sqlp.output_sql} AS _out FROM t)"
-                    )
-                    runtimes["sql"] = _measure(lambda: con.execute(q).fetchnumpy())
-                finally:
-                    con.close()
-            except ValueError:
-                runtimes["sql"] = np.inf
-            dnn = compile_to_dnn(p)
-            runtimes["dnn"] = _measure(lambda: dnn.predict(eval_pdf))
-            entries.append(CorpusEntry(pipeline_features(p), runtimes))
-        return entries
-
-    return cached("corpus", (n_pipelines, n_rows_train, n_rows_eval, seed), build)
-
-
-def build_corpus_spark(
-    spark, n_pipelines: int = 120, *, n_rows_train: int = 1500,
-    n_rows_eval: int = 20_000, seed: int = 7,
-) -> list[CorpusEntry]:
-    """Corpus priced on the *Spark* execution paths each option actually
-    takes in a prediction query (MLtoSQL as a Catalyst expression; none/
-    MLtoDNN through the Arrow-vectorized PREDICT UDF) — the §5.2 principle
-    that strategies are calibrated on the deployment engine."""
-    from repro.runtime import spark_exec
+    """The corpus, priced on the engine the strategy will run on (§5.2):
+    Spark when a session is given, else the single-node engine. Each option
+    is :class:`~repro.core.optimizer.RavenOptimizer`'s plan with that runtime
+    forced and no logical rule, run by :func:`_engine`, best of 2 runs on
+    DuckDB and 1 on Spark. It is priced ``inf``, with the reason in
+    :attr:`CorpusEntry.unpriced`, when the optimizer gives it up, when it is
+    MLtoSQL over more than :data:`SQL_MAX_TREE_NODES` tree nodes, or on the
+    engine's own error; any other error propagates."""
+    kind = "corpus" if spark is None else "corpus_spark"
+    reps = 2 if spark is None else 1
+    engine_error = EngineError if spark is None else Py4JJavaError
 
     def build() -> list[CorpusEntry]:
         entries: list[CorpusEntry] = []
         for i, (p, eval_pdf) in enumerate(
             _corpus_pipelines(n_pipelines, n_rows_train, n_rows_eval, seed)
         ):
-            df = spark.createDataFrame(eval_pdf).cache()
-            df.count()
+            query = PredictionQuery("t", p, table_cols={"t": list(eval_pdf.columns)})
+            nodes = tree_ensemble_size(p)
             runtimes: dict[str, float] = {}
-
-            def priced(make_df) -> float:
-                # an option that crashes the engine (e.g. codegen limits on
-                # giant expressions) is priced as unusable, not fatal
-                try:
-                    return _measure(lambda: spark_exec.sink(make_df()), reps=1)
-                except Exception:
-                    return np.inf
-
-            runtimes["none"] = priced(
-                lambda: spark_exec.with_predict_udf(df, partial(onnx_rt.run, p))
-            )
-            model = p.model_node
-            tree_nodes = (
-                sum(t.n_nodes for t in model.attrs["trees"])
-                if model.op == "tree_ensemble"
-                else 0
-            )
-            if tree_nodes > 4000:
-                # far past Spark's whole-stage-codegen limits: interpreted
-                # giant-CASE evaluation takes minutes — price as unusable
-                # instead of burning the calibration budget measuring it
-                runtimes["sql"] = np.inf
-            else:
-                try:
-                    sqlp = compile_to_sql(p)
-                    runtimes["sql"] = priced(
-                        lambda: spark_exec.with_predict_sql(df, sqlp)
-                    )
-                except ValueError:
-                    runtimes["sql"] = np.inf
-            runtimes["dnn"] = priced(
-                lambda: spark_exec.with_predict_udf(df, compile_to_dnn(p).predict)
-            )
-            df.unpersist()
+            unpriced: dict[str, str] = {}
+            with _engine(spark, eval_pdf) as run:
+                for o in OPTIONS:
+                    runtimes[o] = np.inf
+                    if o == "sql" and nodes > SQL_MAX_TREE_NODES:
+                        unpriced[o] = f"{nodes} tree nodes > {SQL_MAX_TREE_NODES}"
+                        continue
+                    plan = RavenOptimizer(
+                        OptimizerConfig(False, False, False, runtime=o)
+                    ).optimize(query)
+                    if plan.runtime != o:
+                        unpriced[o] = f"optimizer chose {plan.runtime!r}"
+                        continue
+                    try:
+                        runtimes[o] = _measure(lambda: run(plan), reps)
+                    except engine_error as e:
+                        first_line = str(e).partition("\n")[0]
+                        unpriced[o] = f"{type(e).__name__}: {first_line}"
             if not all(np.isinf(v) for v in runtimes.values()):
-                entries.append(CorpusEntry(pipeline_features(p), runtimes))
-            print(f"[corpus-spark] {i + 1}/{n_pipelines} {runtimes}", flush=True)
+                entries.append(CorpusEntry(pipeline_features(p), runtimes, unpriced))
+            print(f"[{kind}] {i + 1}/{n_pipelines} {runtimes}", flush=True)
         return entries
 
-    return cached(
-        "corpus_spark", (n_pipelines, n_rows_train, n_rows_eval, seed), build
-    )
+    return cached(kind, (n_pipelines, n_rows_train, n_rows_eval, seed), build)
 
 
 def corpus_matrices(entries: list[CorpusEntry]):

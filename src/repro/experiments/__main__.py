@@ -1,40 +1,24 @@
 """Run one experiment harness: ``python -m repro.experiments <name>``.
 
-``--list`` prints the names. A harness whose ``run`` takes ``spark`` gets a
-local SparkSession (master from ``$SPARK_MASTER``, default ``local[*]``);
-the others start no JVM.
+``--list`` prints the names. A harness whose ``run`` takes ``spark`` gets
+the local SparkSession of :func:`repro.spark_session.spark_session`; the
+others start no JVM.
 """
 from __future__ import annotations
 
 import argparse
 import inspect
-import os
-
-from pyspark.sql import SparkSession
 
 from repro.experiments import (
     fig4, fig6, fig7, fig8, fig9, fig10, fig11, fig12, table1, table2,
 )
+from repro.spark_session import spark_session
 
 EXPERIMENTS = {
     m.__name__.rpartition(".")[2]: m.run
     for m in (table1, table2, fig4, fig6, fig7, fig8, fig9, fig10, fig11, fig12)
 }
 EXPERIMENTS["fig10-predicate"] = fig10.run_predicate_experiment
-
-
-def _spark_session(app: str) -> SparkSession:
-    return (
-        SparkSession.builder.appName(app)
-        .master(os.environ.get("SPARK_MASTER", "local[*]"))
-        .config("spark.sql.shuffle.partitions", "64")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.execution.arrow.maxRecordsPerBatch", "10000")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .config("spark.driver.host", "127.0.0.1")
-        .config("spark.ui.enabled", "false")
-        .getOrCreate()
-    )
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -51,7 +35,7 @@ def main(argv: list[str] | None = None) -> None:
         return
     fn = EXPERIMENTS[args.name]
     if "spark" in inspect.signature(fn).parameters:
-        fn(_spark_session(args.name))
+        fn(spark_session(args.name))
     else:
         fn()
 

@@ -112,23 +112,15 @@ def dataset_pipeline(name: str, kind: str, **hp) -> Pipeline:
     return build_pipeline_ir(tp)
 
 
-_STRATEGIES: dict[str, ClassificationStrategy] = {}
+_STRATEGIES: dict[bool, ClassificationStrategy] = {}
 
 
-def classification_strategy(
-    engine: str = "duckdb", spark: SparkSession | None = None
-) -> ClassificationStrategy:
-    """The paper's preferred strategy, trained once per *engine* on the
-    cached corpus — §5.2 calibrates strategies on the deployment setup, so
-    Spark experiments use the Spark-priced corpus and the SQL Server
-    experiments the single-node one."""
-    if engine not in _STRATEGIES:
-        if engine == "spark":
-            from repro.core.corpus import build_corpus_spark
-
-            assert spark is not None, "spark session required for engine='spark'"
-            entries = build_corpus_spark(spark)
-        else:
-            entries = build_corpus()
-        _STRATEGIES[engine] = ClassificationStrategy().fit(entries)
-    return _STRATEGIES[engine]
+def classification_strategy(spark: SparkSession | None = None) -> ClassificationStrategy:
+    """The paper's preferred strategy, trained once per engine on the cached
+    corpus — §5.2 calibrates strategies on the deployment setup, so Spark
+    experiments pass their session and get the Spark-priced corpus, and the
+    SQL Server experiments the single-node one."""
+    on_spark = spark is not None
+    if on_spark not in _STRATEGIES:
+        _STRATEGIES[on_spark] = ClassificationStrategy().fit(build_corpus(spark=spark))
+    return _STRATEGIES[on_spark]

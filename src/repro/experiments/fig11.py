@@ -38,7 +38,7 @@ def run(spark: SparkSession, n_rows: int = 200_000, runs: int = 3,
             env, spark,
             OptimizerConfig(
                 runtime="auto",
-                strategy=common.classification_strategy("spark", spark),
+                strategy=common.classification_strategy(spark),
             ),
             base_query, runs,
         )

@@ -53,8 +53,7 @@ def _run_one(spark: SparkSession, env, kind: str, system: str, runs: int) -> tup
     config = (
         OptimizerConfig.no_opt()
         if system == "raven_noopt"
-        else OptimizerConfig(runtime="auto",
-                        strategy=common.classification_strategy("spark", spark))
+        else OptimizerConfig(runtime="auto", strategy=common.classification_strategy(spark))
     )
     seconds, plan = common.time_plan(env, spark, config, query, runs)
     return seconds, plan.runtime if system == "raven" else "-"

@@ -31,7 +31,7 @@ def run(spark: SparkSession, sizes=SIZES, runs: int = 3) -> list[dict]:
                 ("noopt", OptimizerConfig.no_opt()),
                 ("raven", OptimizerConfig(
                     runtime="auto",
-                    strategy=common.classification_strategy("spark", spark),
+                    strategy=common.classification_strategy(spark),
                 )),
             ):
                 times[label], _ = common.time_plan(env, spark, config, query, runs)

@@ -40,9 +40,6 @@ from repro.core.optimizer import PhysicalPlan
 from repro.core.predicate_pruning import Predicate
 from repro.core.query import PredictionQuery
 
-#: paper §6: vectorized-UDF batch size of 10k tuples
-UDF_BATCH_ROWS = 10_000
-
 
 def _predicate_cond(p: Predicate):
     c = F.col(p.col)

@@ -59,6 +59,9 @@ from repro.runtime import onnx_rt
 
 PREDICT_BATCH_ROWS = 10_000
 
+#: what the engine raises for a statement it cannot run
+EngineError = duckdb.Error
+
 
 def _pred_sql(p: Predicate) -> str:
     return f"{p.col} {p.op} {_lit(p.value)}"

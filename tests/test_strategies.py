@@ -1,11 +1,14 @@
 """Tests for the 22 pipeline statistics, the synthetic OpenML-style corpus,
 and the three §5.2 optimization strategies."""
+import duckdb
 import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core import corpus as corpus_mod
 from repro.core.corpus import OPTIONS, _corpus_pipelines, build_corpus, corpus_matrices
 from repro.core.features import FEATURE_NAMES, pipeline_features
+from repro.core.optimizer import PhysicalPlan
 from repro.core.strategies import (
     ClassificationStrategy,
     RegressionStrategy,
@@ -14,6 +17,8 @@ from repro.core.strategies import (
 )
 from repro.ir.builder import build_pipeline_ir
 from repro.ml.pipeline import fit_pipeline
+from repro.runtime import spark_exec
+from repro.sqlserver.engine import SqlServerSim
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +96,7 @@ class TestCorpus:
             assert set(e.runtimes) == set(OPTIONS)
             assert e.runtimes["none"] > 0 and np.isfinite(e.runtimes["none"])
             assert e.best in OPTIONS
+            assert set(e.unpriced) == {o for o in OPTIONS if np.isinf(e.runtimes[o])}
 
     def test_matrices(self, corpus):
         X, y, R = corpus_matrices(corpus)
@@ -113,6 +119,83 @@ class TestCorpus:
         )
         for fa, fb in zip(a, b):
             np.testing.assert_array_equal(fa, fb)
+
+
+#: a tree of 85 nodes and a linear model, small enough to price in seconds
+SMALL = {"n_rows_train": 300, "n_rows_eval": 200, "seed": 2}
+
+
+@pytest.fixture
+def engine(request, tmp_path, monkeypatch):
+    """``spark=`` argument of :func:`build_corpus`: None (DuckDB) or the
+    session, with an empty artifact cache."""
+    monkeypatch.setenv("REPRO_MODEL_CACHE", str(tmp_path))
+    return request.getfixturevalue("spark") if request.param == "spark" else None
+
+
+class TestCorpusPricing:
+    @pytest.mark.parametrize("engine", ["duckdb", "spark"], indirect=True)
+    def test_every_option_runs_through_the_engine(self, engine, monkeypatch):
+        calls = []
+
+        def count(owner, name):
+            run = getattr(owner, name)
+
+            def counted(*args):
+                calls.append(args[-1].runtime)  # the plan is the last argument
+                return run(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(SqlServerSim, "run_raven_sql")
+        count(SqlServerSim, "run_raven_predict")
+        count(spark_exec, "execute_plan")
+        entries = build_corpus(2, spark=engine, **SMALL)
+        reps = 2 if engine is None else 1
+        priced = [o for e in entries for o in OPTIONS if np.isfinite(e.runtimes[o])]
+        assert "sql" in priced and "dnn" in priced
+        assert sorted(calls) == sorted(priced * reps)
+
+    @pytest.mark.parametrize("engine", ["spark"], indirect=True)
+    def test_sql_the_optimizer_gives_up_is_priced_inf(self, engine, monkeypatch):
+        def unsupported(p):
+            raise ValueError("not translatable")
+
+        monkeypatch.setattr("repro.core.optimizer.compile_to_sql", unsupported)
+        entries = build_corpus(2, spark=engine, **SMALL)
+        assert len(entries) == 2
+        for e in entries:
+            assert e.runtimes["sql"] == np.inf
+            assert e.unpriced == {"sql": "optimizer chose 'none'"}
+            assert np.isfinite(e.runtimes["none"]) and np.isfinite(e.runtimes["dnn"])
+
+    @pytest.mark.parametrize("engine", ["duckdb"], indirect=True)
+    def test_sql_over_a_large_tree_is_priced_inf_unrun(self, engine, monkeypatch):
+        monkeypatch.setattr(corpus_mod, "SQL_MAX_TREE_NODES", 50)
+        tree, linear = build_corpus(2, spark=engine, **SMALL)
+        assert tree.runtimes["sql"] == np.inf
+        assert tree.unpriced == {"sql": "85 tree nodes > 50"}
+        assert np.isfinite(linear.runtimes["sql"]) and linear.unpriced == {}
+
+    @pytest.mark.parametrize("engine", ["duckdb"], indirect=True)
+    def test_an_engine_error_is_priced_inf(self, engine, monkeypatch):
+        def out_of_memory(self, plan):
+            raise duckdb.OutOfMemoryException("could not allocate\nblock of 256 KiB")
+
+        monkeypatch.setattr(SqlServerSim, "run_raven_sql", out_of_memory)
+        for e in build_corpus(2, spark=engine, **SMALL):
+            assert e.runtimes["sql"] == np.inf
+            assert e.unpriced == {"sql": "OutOfMemoryException: could not allocate"}
+
+    @pytest.mark.parametrize("engine", ["duckdb", "spark"], indirect=True)
+    def test_other_errors_propagate(self, engine, monkeypatch):
+        def broken(batch):
+            raise RuntimeError("scorer broke")
+
+        monkeypatch.setattr(PhysicalPlan, "scorer", lambda self: broken)
+        # on Spark the worker's error comes back as a PythonException
+        with pytest.raises(Exception, match="scorer broke"):
+            build_corpus(2, spark=engine, **SMALL)
 
 
 class TestStrategies:
