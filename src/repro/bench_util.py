@@ -1,4 +1,4 @@
-"""Timing + reporting helpers shared by the experiment harnesses and benchmarks/.
+"""Timing and table printing for the experiment harnesses.
 
 The paper reports "the trimmed mean of the execution time of five runs,
 removing the lowest and highest runtimes". :func:`timeit_trimmed`
@@ -29,17 +29,18 @@ def timeit_trimmed(fn: Callable[[], object], runs: int = 5, warmup: int = 1) -> 
     return float(np.mean(times))
 
 
-def fmt_row(cells: list[object], widths: list[int]) -> str:
-    return "  ".join(str(c).ljust(w) for c, w in zip(cells, widths))
+def _cell(v: object) -> str:
+    if isinstance(v, (float, np.floating)):
+        return "-" if np.isnan(v) else f"{v:.2f}"
+    return str(v)
 
 
-def print_table(title: str, header: list[str], rows: list[list[object]]) -> None:
-    widths = [
-        max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows else len(str(h))
-        for i, h in enumerate(header)
-    ]
+def print_table(title: str, columns: dict[str, str], rows: list[dict]) -> None:
+    """Print ``rows`` under ``title``, one column per ``header: key`` of
+    ``columns``; floats to 2 decimals, NaN as ``-``."""
+    lines = [list(columns)] + [[_cell(r[k]) for k in columns.values()] for r in rows]
+    widths = [max(map(len, col)) for col in zip(*lines)]
+    lines.insert(1, ["-" * w for w in widths])
     print(f"\n== {title} ==")
-    print(fmt_row(header, widths))
-    print(fmt_row(["-" * w for w in widths], widths))
-    for r in rows:
-        print(fmt_row(r, widths))
+    for cells in lines:
+        print("  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip())

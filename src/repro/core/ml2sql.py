@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.predicate_pruning import Predicate
 from repro.ir.graph import Node, Pipeline
 from repro.ir.slots import Slot, model_input_slots
 from repro.ir.tree import LEAF, Tree
@@ -73,11 +74,20 @@ class SqlPrediction:
 
 def _lit(v: object) -> str:
     if isinstance(v, str):
-        return "'" + v.replace("'", "''") + "'"
+        # Spark reads a backslash in a string literal as an escape, DuckDB
+        # verbatim; chr(92) spells it the same way for both.
+        parts = ["'" + s.replace("'", "''") + "'" for s in v.split("\\")]
+        return parts[0] if len(parts) == 1 else f"({' || chr(92) || '.join(parts)})"
     # scientific notation: both Spark and DuckDB parse plain decimal
     # literals as DECIMAL (whose fixed precision overflows when summing
     # hundreds of tree outputs); E-notation parses as DOUBLE in both.
     return "{:.17e}".format(float(v))
+
+
+def _pred_sql(p: Predicate) -> str:
+    """A WHERE conjunct ``col op value`` as SQL that Spark and DuckDB read
+    alike."""
+    return f"{p.col} {p.op} {_lit(p.value)}"
 
 
 def _sum_sql(parts: list[str]) -> str:

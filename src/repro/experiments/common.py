@@ -9,9 +9,8 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.bench_util import timeit_trimmed
 from repro.core.corpus import build_corpus
-from repro.core.optimizer import OptimizerConfig, PhysicalPlan
+from repro.core.optimizer import OptimizerConfig, PhysicalPlan, RavenOptimizer
 from repro.core.query import PredictionQuery
-from repro.core.session import RavenSession
 from repro.core.strategies import ClassificationStrategy
 from repro.data import datasets as ds
 from repro.ir.builder import build_pipeline_ir
@@ -44,26 +43,17 @@ class DatasetEnv:
     catalog: dict[str, DataFrame]
     n_rows: int
 
-    @property
-    def table_cols(self) -> dict[str, list[str]]:
-        return {
-            n: [c for c in p.columns if c != ds.LABEL]
-            for n, p in self.tables.items()
-        }
-
-    def session(self, config: OptimizerConfig, spark: SparkSession) -> RavenSession:
-        return RavenSession(spark, self.catalog, self.table_cols, config=config)
-
 
 def time_plan(
-    env: DatasetEnv, spark: SparkSession, config: OptimizerConfig,
-    query: PredictionQuery, runs: int, **optimize_kw,
+    env: DatasetEnv, config: OptimizerConfig, query: PredictionQuery, runs: int,
+    **optimize_kw,
 ) -> tuple[float, PhysicalPlan]:
     """Optimize ``query`` under ``config``, then time the plan end to end
     into the ``noop`` sink: (trimmed-mean seconds over ``runs``, the plan)."""
-    sess = env.session(config, spark)
-    plan = sess.optimize(query, **optimize_kw)
-    return timeit_trimmed(lambda: spark_exec.sink(sess.execute_plan(plan)), runs=runs), plan
+    plan = RavenOptimizer(config).optimize(query, **optimize_kw)
+    return timeit_trimmed(
+        lambda: spark_exec.sink(spark_exec.execute_plan(env.catalog, plan)), runs=runs
+    ), plan
 
 
 #: the rule-ablation configs of the Fig 9 and Fig 10 micro-experiments

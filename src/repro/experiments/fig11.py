@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from pyspark.sql import SparkSession
 
-from repro.bench_util import print_table
 from repro.core.optimizer import OptimizerConfig
 from repro.core.session import dataset_query
 from repro.data import datasets as ds
@@ -17,6 +16,16 @@ from repro.experiments import common
 
 DEPTHS = (10, 15, 20)
 SCHEMES = ("num_issues", "rcount")
+
+TITLE = (
+    "Fig 11: data-induced optimization on partitioned Hospital (seconds; "
+    "paper: ~20% savings at depth 15/20; 2.1-3.2x at depth 10)"
+)
+COLUMNS = {
+    "depth": "depth", "no-opt": "noopt", "Raven w/o part": "raven_nopart",
+    "Raven part(num_issues)": "raven_num_issues", "Raven part(rcount)": "raven_rcount",
+    "best part x no-opt": "best_part_speedup",
+}
 
 
 def run(spark: SparkSession, n_rows: int = 200_000, runs: int = 3,
@@ -29,13 +38,11 @@ def run(spark: SparkSession, n_rows: int = 200_000, runs: int = 3,
         rec = {"depth": depth, "n_rows": n_rows}
 
         base_query = dataset_query(env.spec, p, env.tables)
-        rec["noopt"], _ = common.time_plan(
-            env, spark, OptimizerConfig.no_opt(), base_query, runs
-        )
+        rec["noopt"], _ = common.time_plan(env, OptimizerConfig.no_opt(), base_query, runs)
 
         # Raven w/o partitioning: best-of prior optimizations
         rec["raven_nopart"], _ = common.time_plan(
-            env, spark,
+            env,
             OptimizerConfig(
                 runtime="auto",
                 strategy=common.classification_strategy(spark),
@@ -46,23 +53,17 @@ def run(spark: SparkSession, n_rows: int = 200_000, runs: int = 3,
         for scheme in SCHEMES:
             q = dataset_query(env.spec, p, env.tables, partition_col=scheme)
             rec[f"raven_{scheme}"], _ = common.time_plan(
-                env, spark, OptimizerConfig(enable_data_induced=True, runtime="none"),
+                env, OptimizerConfig(enable_data_induced=True, runtime="none"),
                 q, runs, partition_sample=frame,
             )
         rec["best_part_speedup"] = rec["noopt"] / min(
             rec["raven_num_issues"], rec["raven_rcount"]
         )
         rows.append(rec)
-    print_table(
-        "Fig 11: data-induced optimization on partitioned Hospital (seconds; "
-        "paper: ~20% savings at depth 15/20; 2.1-3.2x at depth 10)",
-        ["depth", "no-opt", "Raven w/o part", "Raven part(num_issues)",
-         "Raven part(rcount)", "best part x no-opt"],
-        [
-            [r["depth"], f"{r['noopt']:.2f}", f"{r['raven_nopart']:.2f}",
-             f"{r['raven_num_issues']:.2f}", f"{r['raven_rcount']:.2f}",
-             f"{r['best_part_speedup']:.2f}"]
-            for r in rows
-        ],
-    )
     return rows
+
+
+def check(rows: list[dict]) -> None:
+    # paper shape: partition-specialized models never lose to no-opt
+    for r in rows:
+        assert r["best_part_speedup"] > 0.85

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from pyspark.sql import SparkSession
 
-from repro.bench_util import print_table
 from repro.core.optimizer import OptimizerConfig
 from repro.core.session import dataset_query
 from repro.data import datasets as ds
@@ -30,6 +29,16 @@ CONFIGS = ((60, 4), (150, 6), (300, 8), (500, 8))
 PAPER_GPU_SPEEDUP = (1.56, 7.96)
 PAPER_CPU_SPEEDUP = (0.9, 1.33)
 
+TITLE = (
+    "Fig 12: MLtoDNN on complex GB models (Hospital; GPU column MODELED — "
+    "paper: GPU 1.56-7.96x, CPU ~0.9-1.33x, growing with complexity)"
+)
+COLUMNS = {
+    "estimators": "n_estimators", "depth": "depth", "no-opt (s)": "noopt_cpu",
+    "DNN-CPU (s)": "dnn_cpu", "DNN-GPU (s, modeled)": "dnn_gpu_modeled",
+    "CPU x": "cpu_speedup", "GPU x (modeled)": "gpu_speedup_modeled",
+}
+
 
 def run(spark: SparkSession, n_rows: int = 150_000, runs: int = 3,
         configs=CONFIGS) -> list[dict]:
@@ -40,10 +49,8 @@ def run(spark: SparkSession, n_rows: int = 150_000, runs: int = 3,
             "hospital", "gb", n_estimators=n_est, max_depth=depth
         )
         query = dataset_query(env.spec, p, env.tables)
-        t_noopt, _ = common.time_plan(env, spark, OptimizerConfig.no_opt(), query, runs)
-        t_dnn_cpu, dnn_plan = common.time_plan(
-            env, spark, OptimizerConfig(runtime="dnn"), query, runs
-        )
+        t_noopt, _ = common.time_plan(env, OptimizerConfig.no_opt(), query, runs)
+        t_dnn_cpu, dnn_plan = common.time_plan(env, OptimizerConfig(runtime="dnn"), query, runs)
         assert dnn_plan.runtime == "dnn"
 
         # CPU-resident share: the same plan with a trivial single-leaf
@@ -54,7 +61,7 @@ def run(spark: SparkSession, n_rows: int = 150_000, runs: int = 3,
         stub = p.clone()
         stub.model_node.attrs["trees"] = [leaf_tree([0.0])]
         t_overhead, _ = common.time_plan(
-            env, spark,
+            env,
             OptimizerConfig(
                 enable_predicate_pruning=False,
                 enable_projection_pushdown=False,  # keep full featurization
@@ -75,16 +82,10 @@ def run(spark: SparkSession, n_rows: int = 150_000, runs: int = 3,
                 "gpu_speedup_modeled": t_noopt / t_gpu,
             }
         )
-    print_table(
-        "Fig 12: MLtoDNN on complex GB models (Hospital; GPU column MODELED — "
-        "paper: GPU 1.56-7.96x, CPU ~0.9-1.33x, growing with complexity)",
-        ["estimators", "depth", "no-opt (s)", "DNN-CPU (s)",
-         "DNN-GPU (s, modeled)", "CPU x", "GPU x (modeled)"],
-        [
-            [r["n_estimators"], r["depth"], f"{r['noopt_cpu']:.2f}",
-             f"{r['dnn_cpu']:.2f}", f"{r['dnn_gpu_modeled']:.2f}",
-             f"{r['cpu_speedup']:.2f}", f"{r['gpu_speedup_modeled']:.2f}"]
-            for r in rows
-        ],
-    )
     return rows
+
+
+def check(rows: list[dict]) -> None:
+    # paper shape: modeled-GPU speedup grows with model complexity
+    assert rows[-1]["gpu_speedup_modeled"] > rows[0]["gpu_speedup_modeled"]
+    assert rows[-1]["gpu_speedup_modeled"] > 1.2

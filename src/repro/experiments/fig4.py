@@ -7,7 +7,8 @@ tightest spread (p25 = 0.94 vs 0.72 rule / 0.83 regression).
 """
 from __future__ import annotations
 
-from repro.bench_util import print_table
+import numpy as np
+
 from repro.core.corpus import build_corpus, corpus_matrices
 from repro.core.strategies import evaluate_strategies
 
@@ -18,44 +19,37 @@ PAPER = {
 }
 
 
+TITLE = (
+    "Fig 4 / §5.2: strategy accuracy and speedup-vs-optimal (200 runs); corpus "
+    "best option none/sql/dnn (paper: 41/25/72 of 138)"
+)
+COLUMNS = {
+    "strategy": "strategy", "accuracy": "accuracy", "paper acc": "paper_accuracy",
+    "speedup med": "speedup_median", "p25": "speedup_p25", "p75": "speedup_p75",
+    "min": "speedup_min", "max": "speedup_max", "paper p25": "paper_p25",
+    "corpus none/sql/dnn": "corpus_best",
+}
+
+
 def run(n_pipelines: int = 120, n_repeats: int = 40, seed: int = 0) -> list[dict]:
     entries = build_corpus(n_pipelines)
     _, y, _ = corpus_matrices(entries)
-    import numpy as np
-
-    counts = np.bincount(y, minlength=3)
-    print(
-        f"corpus: {len(entries)} pipelines; best-option counts "
-        f"(none/sql/dnn) = {counts.tolist()} "
-        "(paper: 41 none / 25 sql / 72 dnn of 138)"
-    )
+    split = "/".join(map(str, np.bincount(y, minlength=3)))
     out = evaluate_strategies(entries, n_repeats=n_repeats, seed=seed)
-    rows = [
+    return [
         {
             "strategy": name,
             **vals,
             "paper_accuracy": PAPER[name]["accuracy"],
             "paper_p25": PAPER[name]["speedup_p25"],
+            "corpus_best": split,
         }
         for name, vals in out.items()
     ]
-    print_table(
-        "Fig 4 / §5.2: strategy accuracy and speedup-vs-optimal (200 runs)",
-        ["strategy", "accuracy", "paper acc", "speedup med", "p25", "p75",
-         "min", "max", "paper p25"],
-        [
-            [
-                r["strategy"],
-                f"{r['accuracy']:.2f}",
-                r["paper_accuracy"],
-                f"{r['speedup_median']:.2f}",
-                f"{r['speedup_p25']:.2f}",
-                f"{r['speedup_p75']:.2f}",
-                f"{r['speedup_min']:.2f}",
-                f"{r['speedup_max']:.2f}",
-                r["paper_p25"],
-            ]
-            for r in rows
-        ],
-    )
-    return rows
+
+
+def check(rows: list[dict]) -> None:
+    by = {r["strategy"]: r for r in rows}
+    for r in by.values():
+        assert r["accuracy"] > 0.5  # all beat random over 3 classes
+        assert r["speedup_median"] > 0.5

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from pyspark.sql import SparkSession
 
-from repro.bench_util import print_table, timeit_trimmed
+from repro.bench_util import timeit_trimmed
 from repro.core.optimizer import OptimizerConfig
 from repro.core.session import dataset_query
 from repro.data import datasets as ds
@@ -25,6 +25,17 @@ PAPER_SPEEDUP_RANGE = (1.4, 13.1)  # Raven vs Raven (no-opt)
 
 MODELS = ("lr", "dt", "gb")
 SYSTEMS = ("sparkml", "spark_ref", "raven_noopt", "raven")
+
+TITLE = (
+    "Fig 6: prediction-query runtime on Spark (seconds; paper speedups: "
+    "Raven 1.4-13.1x vs no-opt, up to 48x vs SparkML, 2.15-25.3x vs Spark+SKL)"
+)
+COLUMNS = {
+    "dataset": "dataset", "model": "model", "rows": "n_rows", "SparkML": "sparkml",
+    "Spark+ref": "spark_ref", "Raven(no-opt)": "raven_noopt", "Raven": "raven",
+    "choice": "raven_choice", "x no-opt": "speedup_vs_noopt",
+    "x SparkML": "speedup_vs_sparkml", "x ref": "speedup_vs_ref",
+}
 
 
 def _run_one(spark: SparkSession, env, kind: str, system: str, runs: int) -> tuple[float, str]:
@@ -55,7 +66,7 @@ def _run_one(spark: SparkSession, env, kind: str, system: str, runs: int) -> tup
         if system == "raven_noopt"
         else OptimizerConfig(runtime="auto", strategy=common.classification_strategy(spark))
     )
-    seconds, plan = common.time_plan(env, spark, config, query, runs)
+    seconds, plan = common.time_plan(env, config, query, runs)
     return seconds, plan.runtime if system == "raven" else "-"
 
 
@@ -84,22 +95,13 @@ def run(spark: SparkSession, scale: float = 1.0, runs: int = 3,
                     "speedup_vs_ref": times["spark_ref"] / times["raven"],
                 }
             )
-    print_table(
-        "Fig 6: prediction-query runtime on Spark (seconds; paper speedups: "
-        "Raven 1.4-13.1x vs no-opt, up to 48x vs SparkML, 2.15-25.3x vs Spark+SKL)",
-        ["dataset", "model", "rows", "SparkML", "Spark+ref", "Raven(no-opt)",
-         "Raven", "choice", "x no-opt", "x SparkML", "x ref"],
-        [
-            [
-                r["dataset"], r["model"], r["n_rows"],
-                f"{r['sparkml']:.2f}", f"{r['spark_ref']:.2f}",
-                f"{r['raven_noopt']:.2f}", f"{r['raven']:.2f}",
-                r["raven_choice"],
-                f"{r['speedup_vs_noopt']:.1f}",
-                f"{r['speedup_vs_sparkml']:.1f}",
-                f"{r['speedup_vs_ref']:.1f}",
-            ]
-            for r in rows
-        ],
-    )
     return rows
+
+
+def check(rows: list[dict]) -> None:
+    # paper shape: Raven never slower than no-opt by more than noise, and
+    # at least one LR/DT query gets a clear (>1.3x) win
+    assert all(r["speedup_vs_noopt"] > 0.6 for r in rows)
+    assert max(
+        r["speedup_vs_noopt"] for r in rows if r["model"] in ("lr", "dt")
+    ) > 1.3

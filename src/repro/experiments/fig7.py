@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from pyspark.sql import SparkSession
 
-from repro.bench_util import print_table
 from repro.core.optimizer import OptimizerConfig
 from repro.core.session import dataset_query
 from repro.experiments import common
@@ -16,6 +15,12 @@ from repro.experiments import common
 PAPER = {"lr": (1.96, 4.36), "gb": (1.37, 1.67)}
 
 SIZES = (25_000, 100_000, 400_000)
+
+TITLE = "Fig 7: Raven vs Raven(no-opt) while scaling Hospital rows"
+COLUMNS = {
+    "model": "model", "rows": "n_rows", "no-opt (s)": "noopt_s",
+    "Raven (s)": "raven_s", "speedup": "speedup", "paper band": "paper_band",
+}
 
 
 def run(spark: SparkSession, sizes=SIZES, runs: int = 3) -> list[dict]:
@@ -34,7 +39,7 @@ def run(spark: SparkSession, sizes=SIZES, runs: int = 3) -> list[dict]:
                     strategy=common.classification_strategy(spark),
                 )),
             ):
-                times[label], _ = common.time_plan(env, spark, config, query, runs)
+                times[label], _ = common.time_plan(env, config, query, runs)
             rows.append(
                 {
                     "model": kind, "n_rows": n,
@@ -43,13 +48,12 @@ def run(spark: SparkSession, sizes=SIZES, runs: int = 3) -> list[dict]:
                     "paper_band": PAPER[kind],
                 }
             )
-    print_table(
-        "Fig 7: Raven vs Raven(no-opt) while scaling Hospital rows",
-        ["model", "rows", "no-opt (s)", "Raven (s)", "speedup", "paper band"],
-        [
-            [r["model"], r["n_rows"], f"{r['noopt_s']:.2f}", f"{r['raven_s']:.2f}",
-             f"{r['speedup']:.2f}", str(r["paper_band"])]
-            for r in rows
-        ],
-    )
     return rows
+
+
+def check(rows: list[dict]) -> None:
+    # paper shape: Raven >= no-opt at every size for both models
+    for r in rows:
+        assert r["speedup"] > 0.5
+    lr_big = [r for r in rows if r["model"] == "lr"][-1]
+    assert lr_big["speedup"] > 1.2

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bench_util import print_table, timeit_trimmed
+from repro.bench_util import timeit_trimmed
 from repro.core.optimizer import OptimizerConfig, RavenOptimizer
 from repro.core.session import dataset_query
 from repro.data import datasets as ds
@@ -25,6 +25,18 @@ ROWS = {
     "flights": 30_000,
 }
 MODELS = ("lr", "dt", "gb")
+
+TITLE = (
+    "Fig 8: 'SQL Server' (DuckDB) + MADlib-style baseline (seconds; paper: "
+    "Raven 1.4-330x over SQL Server, 3.9-108x over MADlib single-threaded)"
+)
+COLUMNS = {
+    "dataset": "dataset", "model": "model", "rows": "n_rows",
+    "SQLSrv DOP1": "sqlserver_dop1", "SQLSrv DOP16": "sqlserver_dop16",
+    "Raven DOP1": "raven_dop1", "Raven DOP16": "raven_dop16",
+    "choice": "raven_choice", "MADlib": "madlib", "MADlib model": "madlib_model",
+    "x DOP16": "speedup_dop16", "x MADlib@1": "speedup_vs_madlib_dop1",
+}
 
 
 def run(scale: float = 1.0, runs: int = 3, datasets=ds.DATASETS) -> list[dict]:
@@ -73,23 +85,13 @@ def run(scale: float = 1.0, runs: int = 3, datasets=ds.DATASETS) -> list[dict]:
                 rec["madlib"] / rec["raven_dop1"] if np.isfinite(rec["madlib"]) else np.nan
             )
             rows.append(rec)
-    print_table(
-        "Fig 8: 'SQL Server' (DuckDB) + MADlib-style baseline (seconds; paper: "
-        "Raven 1.4-330x over SQL Server, 3.9-108x over MADlib single-threaded)",
-        ["dataset", "model", "rows", "SQLSrv DOP1", "SQLSrv DOP16",
-         "Raven DOP1", "Raven DOP16", "choice", "MADlib", "x DOP16", "x MADlib@1"],
-        [
-            [
-                r["dataset"], r["model"], r["n_rows"],
-                f"{r['sqlserver_dop1']:.2f}", f"{r['sqlserver_dop16']:.2f}",
-                f"{r['raven_dop1']:.2f}", f"{r['raven_dop16']:.2f}",
-                r["raven_choice"],
-                "skip" if not np.isfinite(r["madlib"]) else f"{r['madlib']:.2f}",
-                f"{r['speedup_dop16']:.1f}",
-                "-" if not np.isfinite(r["speedup_vs_madlib_dop1"])
-                else f"{r['speedup_vs_madlib_dop1']:.1f}",
-            ]
-            for r in rows
-        ],
-    )
     return rows
+
+
+def check(rows: list[dict]) -> None:
+    # paper shape: biggest wins where MLtoSQL fires (LR/DT); MADlib slowest
+    sql_rows = [r for r in rows if r["raven_choice"] == "sql"]
+    assert sql_rows, "MLtoSQL never selected"
+    assert max(r["speedup_dop16"] for r in sql_rows) > 2.0
+    madlib = [r for r in rows if np.isfinite(r["madlib"])]
+    assert madlib and all(r["speedup_vs_madlib_dop1"] > 1.0 for r in madlib)

@@ -16,13 +16,23 @@ from __future__ import annotations
 import numpy as np
 from pyspark.sql import SparkSession
 
-from repro.bench_util import print_table
 from repro.core.session import dataset_query
 from repro.experiments import common
 
 ALPHAS = (0.001, 0.01, 0.1, 1.0, 2.0)
 
 RULES = ("noopt", "modelproj", "mltosql", "modelproj+mltosql")
+
+TITLE = (
+    "Fig 9: LR regularization sweep on Credit Card (seconds; paper: "
+    "ModelProj+MLtoSQL best everywhere; ModelProj 20%..100%+ of baseline; "
+    "MLtoSQL ~60% flat)"
+)
+COLUMNS = {
+    "alpha": "alpha", "#zero weights /28": "zero_weights", "no-opt": "noopt",
+    "ModelProj": "modelproj", "MLtoSQL": "mltosql",
+    "ModelProj+MLtoSQL": "modelproj+mltosql", "best": "best",
+}
 
 #: calibrated on the Credit Card training frame: zero-weight counts of
 #: roughly 24/20/15/8/2 out of 28, spanning the paper's sparsity sweep
@@ -40,24 +50,19 @@ def run(spark: SparkSession, n_rows: int = 200_000, runs: int = 3) -> list[dict]
         p = common.dataset_pipeline("creditcard", "lr", l1=_l1_for_alpha(alpha))
         zero_w = int(np.sum(np.asarray(p.model_node.attrs["coef"]) == 0.0))
         query = dataset_query(env.spec, p, env.tables)
-        rec = {"alpha": alpha, "zero_weights": zero_w, "n_rows": n_rows}
+        rec = {"alpha": f"{alpha:g}", "zero_weights": zero_w, "n_rows": n_rows}
         for rule in RULES:
-            rec[rule], _ = common.time_plan(env, spark, common.RULE_CONFIGS[rule], query, runs)
+            rec[rule], _ = common.time_plan(env, common.RULE_CONFIGS[rule], query, runs)
         rec["best"] = min(RULES, key=lambda r: rec[r])
         rows.append(rec)
-    print_table(
-        "Fig 9: LR regularization sweep on Credit Card (seconds; paper: "
-        "ModelProj+MLtoSQL best everywhere; ModelProj 20%..100%+ of baseline; "
-        "MLtoSQL ~60% flat)",
-        ["alpha", "#zero weights /28", "no-opt", "ModelProj", "MLtoSQL",
-         "ModelProj+MLtoSQL", "best"],
-        [
-            [
-                r["alpha"], r["zero_weights"], f"{r['noopt']:.2f}",
-                f"{r['modelproj']:.2f}", f"{r['mltosql']:.2f}",
-                f"{r['modelproj+mltosql']:.2f}", r["best"],
-            ]
-            for r in rows
-        ],
-    )
     return rows
+
+
+def check(rows: list[dict]) -> None:
+    # paper shape: zero-weights decrease as alpha grows; the combined rule
+    # is best (or ties) at the sparsest setting
+    zeros = [r["zero_weights"] for r in rows]
+    assert zeros[0] >= zeros[-1]
+    assert zeros[0] >= 14  # strong regularization: most of 28 inputs unused
+    sparsest = rows[0]
+    assert sparsest["modelproj+mltosql"] <= sparsest["noopt"] * 1.05

@@ -12,7 +12,6 @@ featurizers, and count encoded features.
 """
 from __future__ import annotations
 
-from repro.bench_util import print_table
 from repro.data import datasets as ds
 from repro.ml.pipeline import fit_pipeline
 
@@ -21,6 +20,14 @@ PAPER = {
     "hospital": (1, 24, 9, 15, 9, 50),
     "expedia": (3, 28, 8, 20, 8, 3957),
     "flights": (4, 37, 4, 33, 4, 6471),
+}
+
+
+TITLE = "Table 1: dataset statistics (measured | paper)"
+COLUMNS = {
+    "dataset": "dataset", "#tables": "tables", "#inputs": "inputs",
+    "num": "inputs_num", "cat": "inputs_cat", "#features num": "features_num",
+    "#features cat": "features_cat", "paper": "paper",
 }
 
 
@@ -46,19 +53,12 @@ def run(n_rows: int = 5000, seed: int = 0) -> list[dict]:
                 "paper": PAPER[name],
             }
         )
-    print_table(
-        "Table 1: dataset statistics (measured | paper)",
-        ["dataset", "#tables", "#inputs (num/cat)", "#features (num/cat)", "paper"],
-        [
-            [
-                r["dataset"],
-                r["tables"],
-                f"{r['inputs']} ({r['inputs_num']}/{r['inputs_cat']})",
-                f"{r['features_num'] + r['features_cat']} "
-                f"({r['features_num']}/{r['features_cat']})",
-                str(r["paper"]),
-            ]
-            for r in rows
-        ],
-    )
     return rows
+
+
+def check(rows: list[dict]) -> None:
+    assert len(rows) == 4
+    for r in rows:
+        paper = r["paper"]
+        assert (r["tables"], r["inputs"]) == (paper[0], paper[1])
+        assert (r["features_num"], r["features_cat"]) == (paper[4], paper[5])

@@ -11,7 +11,6 @@ one optimized model per partition and average pruned-column counts.
 """
 from __future__ import annotations
 
-from repro.bench_util import print_table
 from repro.core.data_induced import (
     apply_data_induced_pruning,
     collect_stats_pandas,
@@ -25,6 +24,12 @@ PAPER = {10: (4, 8, 11), 15: (0, 6, 5), 20: (0, 6, 5)}
 
 DEPTHS = (10, 15, 20)
 SCHEMES = ("none", "num_issues", "rcount")
+
+TITLE = "Table 2: avg # columns pruned by data-induced optimization (Hospital)"
+COLUMNS = {
+    "tree depth": "depth", "no partitioning": "none", "on num_issues": "num_issues",
+    "on rcount": "rcount", "paper (none/num_issues/rcount)": "paper",
+}
 
 
 def run(n_rows: int = 60_000, seed: int = 0) -> list[dict]:
@@ -53,12 +58,13 @@ def run(n_rows: int = 60_000, seed: int = 0) -> list[dict]:
                 ]
                 measured[scheme] = round(sum(extra) / len(extra), 1)
         rows.append({"depth": depth, **measured, "paper": PAPER[depth]})
-    print_table(
-        "Table 2: avg # columns pruned by data-induced optimization (Hospital)",
-        ["tree depth", "no partitioning", "on num_issues", "on rcount", "paper (none/num_issues/rcount)"],
-        [
-            [r["depth"], r["none"], r["num_issues"], r["rcount"], str(r["paper"])]
-            for r in rows
-        ],
-    )
     return rows
+
+
+def check(rows: list[dict]) -> None:
+    by_depth = {r["depth"]: r for r in rows}
+    # paper shape: partitioning prunes more columns than global stats, and
+    # depth-10 models lose more columns than depth-20 ones under rcount
+    for depth, r in by_depth.items():
+        assert max(r["num_issues"], r["rcount"]) >= r["none"]
+    assert by_depth[10]["rcount"] >= by_depth[20]["rcount"]

@@ -1,8 +1,9 @@
 """Physical execution of (optimized) prediction queries on Apache Spark.
 
 Lowers a :class:`repro.core.optimizer.PhysicalPlan` onto the DataFrame API:
-scans + equi-joins + WHERE filters are Catalyst-planned; the PREDICT step
-is either
+scans + equi-joins + WHERE filters are Catalyst-planned, each WHERE
+conjunct from the SQL text DuckDB runs (:func:`repro.core.ml2sql._pred_sql`);
+the PREDICT step is either
 
 - the MLtoSQL expression (:func:`with_predict_sql`, pure Catalyst —
   Spark's optimizer then pushes the referenced columns/filters further):
@@ -35,25 +36,9 @@ import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.ml2sql import SqlPrediction
+from repro.core.ml2sql import SqlPrediction, _pred_sql
 from repro.core.optimizer import PhysicalPlan
-from repro.core.predicate_pruning import Predicate
 from repro.core.query import PredictionQuery
-
-
-def _predicate_cond(p: Predicate):
-    c = F.col(p.col)
-    if p.op == "=":
-        return c == F.lit(p.value)
-    if p.op == "<":
-        return c < F.lit(p.value)
-    if p.op == "<=":
-        return c <= F.lit(p.value)
-    if p.op == ">":
-        return c > F.lit(p.value)
-    if p.op == ">=":
-        return c >= F.lit(p.value)
-    raise ValueError(p.op)
 
 
 def build_input_df(
@@ -68,7 +53,7 @@ def build_input_df(
         else:
             df = df.join(dim, on=df[j.fact_key] == dim[j.dim_key], how="inner")
     for pred in query.where:
-        df = df.filter(_predicate_cond(pred))
+        df = df.filter(F.expr(_pred_sql(pred)))
     if not select_cols:
         # fully-pruned pipeline (e.g. an all-zero L1 model): keep a
         # constant column so Arrow batches are well-formed

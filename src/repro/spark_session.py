@@ -8,6 +8,7 @@ set already) before the process's first session starts the JVM.
 from __future__ import annotations
 
 import os
+import re
 
 from pyspark.sql import SparkSession
 
@@ -22,26 +23,38 @@ CONFIGS = {
 }
 
 _CGROUP_LIMITS = ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes")
+_MEMINFO = "/proc/meminfo"
+
+
+def _limit_bytes(path: str) -> int:
+    """The memory limit in ``path``: a cgroup limit file's byte count, or
+    ``/proc/meminfo``'s MemTotal (given in kB)."""
+    with open(path) as f:
+        text = f.read()
+    if path != _MEMINFO:
+        return int(text)
+    (kib,) = re.findall(r"^MemTotal:\s+(\d+) kB$", text, re.M)
+    return int(kib) * 1024
 
 
 def driver_memory() -> tuple[str, str]:
     """(driver heap, its source): ``$SPARK_DRIVER_MEM``, else 75% of the
-    cgroup v2/v1 memory limit, else 48g. A limit that is unreadable (a
-    gVisor sandbox may not pass the host's through) or unbounded (``max``,
-    or cgroup v1's ~9.2e18 sentinel) counts as absent, so the JVM is never
-    handed an impossible heap."""
+    cgroup v2/v1 memory limit, else 75% of the host's MemTotal, else 2g. A
+    limit that is unreadable (a gVisor sandbox may not pass the host's
+    through) or unbounded (``max``, or cgroup v1's ~9.2e18 sentinel) counts
+    as absent, so the JVM is never handed an impossible heap."""
     if m := os.environ.get("SPARK_DRIVER_MEM"):
         return m, "env"
-    for p in _CGROUP_LIMITS:
+    for p in (*_CGROUP_LIMITS, _MEMINFO):
         try:
-            with open(p) as f:
-                raw = f.read().strip()
-            gib = int(raw) / (1 << 30)
+            limit = _limit_bytes(p)
         except (OSError, ValueError):
             continue
+        gib = limit / (1 << 30)
         if 1 <= gib <= 1024:
-            return f"{max(1, int(gib * 0.75))}g", f"cgroup:{p}={raw}"
-    return "48g", "fallback"
+            kind = "meminfo" if p == _MEMINFO else "cgroup"
+            return f"{max(1, int(gib * 0.75))}g", f"{kind}:{p}={limit}"
+    return "2g", "fallback"
 
 
 def spark_session(app: str) -> SparkSession:

@@ -30,10 +30,10 @@ columnstore engine with a configurable degree of parallelism
   prediction query (including the MLtoSQL-translated model) as one SQL
   statement the engine plans end-to-end.
 
-WHERE constants are written by :func:`repro.core.ml2sql._lit`: strings
-with quotes doubled, numbers in E-notation, which DuckDB parses as the
-exact DOUBLE (a plain decimal literal parses as DECIMAL and can land one
-ulp off after the cast, moving rows that sit on the constant).
+WHERE conjuncts are written by :func:`repro.core.ml2sql._pred_sql`, as on
+Spark: strings with quotes doubled, numbers in E-notation, which DuckDB
+parses as the exact DOUBLE (a plain decimal literal parses as DECIMAL and
+can land one ulp off after the cast, moving rows that sit on the constant).
 
 Per the paper's protocol, prediction queries on this engine end in an
 aggregate over the predictions (``GROUP BY prediction``), so timings don't
@@ -50,9 +50,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from repro.core.ml2sql import _lit
+from repro.core.ml2sql import _lit, _pred_sql
 from repro.core.optimizer import PhysicalPlan
-from repro.core.predicate_pruning import Predicate
 from repro.core.query import PredictionQuery
 from repro.ir.graph import Pipeline
 from repro.runtime import onnx_rt
@@ -61,10 +60,6 @@ PREDICT_BATCH_ROWS = 10_000
 
 #: what the engine raises for a statement it cannot run
 EngineError = duckdb.Error
-
-
-def _pred_sql(p: Predicate) -> str:
-    return f"{p.col} {p.op} {_lit(p.value)}"
 
 
 def _select_list(cols: list[str]) -> str:

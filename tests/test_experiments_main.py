@@ -58,23 +58,60 @@ def test_harness_session_gets_the_factory_driver_memory(monkeypatch):
     monkeypatch.delenv("PYSPARK_SUBMIT_ARGS", raising=False)
     monkeypatch.setenv("SPARK_DRIVER_MEM", "3g")
     launched = []
-    monkeypatch.setitem(entry.EXPERIMENTS, "fake", lambda spark: launched.append(spark))
+    fake = entry.Harness(lambda spark: launched.append(spark) or [], lambda rows: None, "", {})
+    monkeypatch.setitem(entry.EXPERIMENTS, "fake", fake)
     entry.main(["fake"])
     (args,) = launched
     assert "--driver-memory 3g " in args and args.endswith(" pyspark-shell")
 
 
+def test_every_experiment_has_its_own_check():
+    for name, h in entry.EXPERIMENTS.items():
+        assert h.check.__module__ == h.run.__module__, name
+
+
+@pytest.mark.parametrize("passes", [True, False])
+def test_main_prints_the_table_then_exits_by_the_check(monkeypatch, capsys, passes):
+    def check(rows):
+        assert passes
+
+    fake = entry.Harness(lambda: [{"x": 0.5, "y": float("nan"), "n": 3}], check,
+                         "Fake", {"X": "x", "Y": "y", "rows": "n"})
+    monkeypatch.setitem(entry.EXPERIMENTS, "fake", fake)
+    if passes:
+        entry.main(["fake"])
+    else:
+        with pytest.raises(SystemExit) as exited:
+            entry.main(["fake"])
+        assert exited.value.code == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [
+        "", "== Fake ==", "X     Y  rows", "----  -  ----", "0.50  -  3",
+    ]
+    assert ("AssertionError" in err) != passes
+
+
 @pytest.mark.parametrize("limit, expected", [
     ("8589934592", ("6g", "cgroup")),  # 75% of 8 GiB
-    ("max", ("48g", "fallback")),
-    ("9223372036854771712", ("48g", "fallback")),  # cgroup v1 "unlimited"
+    ("max", ("11g", "meminfo")),  # 75% of MemTotal's 15.7 GiB
+    ("9223372036854771712", ("11g", "meminfo")),  # cgroup v1 "unlimited"
 ])
 def test_driver_memory_from_the_cgroup_limit(tmp_path, monkeypatch, limit, expected):
     path = tmp_path / "memory.max"
     path.write_text(limit + "\n")
+    meminfo = tmp_path / "meminfo"
+    meminfo.write_text("MemTotal:       16456384 kB\nMemFree:         1024 kB\n")
     monkeypatch.setattr(spark_session, "_CGROUP_LIMITS", (str(path),))
+    monkeypatch.setattr(spark_session, "_MEMINFO", str(meminfo))
     monkeypatch.delenv("SPARK_DRIVER_MEM", raising=False)
     mem, src = spark_session.driver_memory()
     assert (mem, src.partition(":")[0]) == expected
     monkeypatch.setenv("SPARK_DRIVER_MEM", "5g")
     assert spark_session.driver_memory() == ("5g", "env")
+
+
+def test_driver_memory_without_any_readable_limit(tmp_path, monkeypatch):
+    monkeypatch.setattr(spark_session, "_CGROUP_LIMITS", (str(tmp_path / "absent"),))
+    monkeypatch.setattr(spark_session, "_MEMINFO", str(tmp_path / "absent"))
+    monkeypatch.delenv("SPARK_DRIVER_MEM", raising=False)
+    assert spark_session.driver_memory() == ("2g", "fallback")

@@ -136,7 +136,7 @@ class TestMLtoSQL:
 
     def test_string_literal_escaping(self):
         pdf = pd.DataFrame(
-            {"c": ["o'brien", "smith"] * 200, "label": [1, 0] * 200}
+            {"c": ["o'brien", "smith", "a\\tb", "x\\"] * 100, "label": [1, 0, 1, 0] * 100}
         )
         tp = fit_pipeline(pdf, [], ["c"], "label", "dt", max_depth=2)
         p = build_pipeline_ir(tp)

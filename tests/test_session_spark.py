@@ -266,6 +266,51 @@ class TestPartitionedPlans:
         np.testing.assert_array_equal(got.to_numpy(), want)
 
 
+def _literal_frame():
+    """Categories that hold a backslash or a quote, whose labels depend on
+    them, next to a numeric column."""
+    rng = np.random.default_rng(5)
+    cats = np.array(["a\\tb", "a\\nb", "x\\", "O'Brien", "plain"])
+    t = pd.DataFrame({"c": rng.choice(cats, 1000), "x": rng.normal(size=1000)})
+    t["label"] = (t.c.isin(["a\\tb", "x\\"]) ^ (t.x > 1.5)).astype(int)
+    return t
+
+
+class TestStringLiterals:
+    """Spark reads a backslash in a SQL string literal as an escape; the
+    generated SQL must still name the category the runtime sees."""
+
+    def test_mltosql_backslash_categories_match_runtime(self, spark):
+        from pyspark.sql import functions as F
+
+        from repro.core.ml2sql import compile_to_sql
+        from repro.runtime import onnx_rt
+
+        t = _literal_frame()
+        p = build_pipeline_ir(fit_pipeline(t, ["x"], ["c"], "label", "dt", max_depth=4))
+        got = (
+            spark.createDataFrame(t.assign(_i=np.arange(len(t))))
+            .select("_i", F.expr(compile_to_sql(p).label_sql).alias("prediction"))
+            .toPandas()
+            .sort_values("_i")
+        )
+        np.testing.assert_array_equal(got["prediction"], onnx_rt.run(p, t)[0])
+
+    @pytest.mark.parametrize("pred", [
+        Predicate("c", "=", "a\\tb"), Predicate("c", "=", "x\\"),
+        Predicate("c", "=", "O'Brien"), Predicate("c", ">=", "b"),
+        Predicate("x", ">", 0.1 + 0.2),
+    ])
+    def test_where_keeps_the_rows_pandas_keeps(self, spark, pred):
+        t = _literal_frame()
+        t.loc[:10, "x"] = 0.1 + 0.2  # rows sitting on the constant
+        ops = {"=": "__eq__", ">=": "__ge__", ">": "__gt__"}
+        want = int(getattr(t[pred.col], ops[pred.op])(pred.value).sum())
+        catalog = spark_exec.register_pandas_tables(spark, {"t": t})
+        query = PredictionQuery(fact="t", pipeline=None, where=[pred])
+        assert spark_exec.build_input_df(catalog, query, ["c", "x"]).count() == want
+
+
 class TestJoinDatasets:
     @pytest.mark.parametrize("name", ["expedia", "flights"])
     def test_optimized_equals_noopt_with_joins(self, spark, name):
