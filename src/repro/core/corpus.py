@@ -16,6 +16,7 @@ pipelines and their features are deterministic in the seed.
 from __future__ import annotations
 
 import os
+import sys
 import time
 from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
@@ -174,7 +175,7 @@ def build_corpus(
                         unpriced[o] = f"{type(e).__name__}: {first_line}"
             if not all(np.isinf(v) for v in runtimes.values()):
                 entries.append(CorpusEntry(pipeline_features(p), runtimes, unpriced))
-            print(f"[{kind}] {i + 1}/{n_pipelines} {runtimes}", flush=True)
+            print(f"[{kind}] {i + 1}/{n_pipelines} {runtimes}", file=sys.stderr, flush=True)
         return entries
 
     return cached(kind, (n_pipelines, n_rows_train, n_rows_eval, seed), build)

@@ -11,14 +11,27 @@ the PREDICT step is either
   derive from it, or
 - an Arrow-vectorized ``mapInArrow`` UDF driving a batch scorer over 10k-
   row batches (:func:`with_predict_udf`) — the architecture of the
-  paper's Raven Python UDF (§6), except that the scorer is not cached per
-  process: it is pickled into every task's closure. The scorer is the
-  plan's own (:meth:`~repro.core.optimizer.PhysicalPlan.scorer`): the ML
-  runtime or MLtoDNN's tensor runtime, per partition when the plan holds
-  partition models (§4.2). It reads each Arrow record batch as it arrives
-  (string columns come as ``string``, or as ``large_string`` under
+  paper's Raven Python UDF (§6). The scorer is the plan's own
+  (:meth:`~repro.core.optimizer.PhysicalPlan.scorer`): the ML runtime or
+  MLtoDNN's tensor runtime, per partition when the plan holds partition
+  models (§4.2). It reads each Arrow record batch as it arrives (string
+  columns come as ``string``, or as ``large_string`` under
   ``spark.sql.execution.arrow.useLargeVarTypes``), so the model inputs
   cross the JVM/Python boundary once.
+
+The scorer is pickled into every task's closure rather than cached per
+worker process as in the paper. At the scales run here that costs little:
+the Hospital lr / dt / gb closures are 2-17 KB and unpickle in at most
+1 ms per task. The per-task fixed cost of a UDF query was elsewhere:
+Spark's worker calls ``importlib.invalidate_caches()`` at the start of every
+task, and each ``zipimport.zipimporter`` then re-reads its archive's whole
+directory (about 28k entries for pyspark.zip, the Spark core jar and py4j;
+0.14-0.26 s per task on 4 cores). :func:`install_zip_stat_check` makes that
+re-read conditional on the archive having changed; the UDF installs it in
+each worker process. To repeat the measurement, point
+``spark.python.worker.module`` (in a scratch run) at a module named
+``pyspark_*`` that wraps ``importlib.invalidate_caches`` with a timer and
+then calls ``pyspark.worker.main``.
 
 Both paths return only ``prediction`` and ``score``
 (:data:`PREDICTION_SCHEMA`), never the model inputs.
@@ -29,6 +42,8 @@ disk noise).
 """
 from __future__ import annotations
 
+import os
+import zipimport
 from typing import Iterator
 
 import pandas as pd
@@ -77,12 +92,44 @@ def with_predict_sql(df: DataFrame, sql: SqlPrediction) -> DataFrame:
     )
 
 
+#: attribute set on the stat-checking ``zipimporter.invalidate_caches``
+ZIP_STAT_CHECKED = "stat_checked"
+
+
+def install_zip_stat_check() -> None:
+    """Make ``zipimport.zipimporter.invalidate_caches`` re-read an archive's
+    directory only when the archive's ``(st_mtime_ns, st_size, st_ino)``
+    differs from what that importer last read; an archive that cannot be
+    stat'ed is re-read as before. The first call on each importer after
+    installing re-reads, since what it read before is unknown. Installing
+    twice wraps once."""
+    reread = zipimport.zipimporter.invalidate_caches
+    if getattr(reread, ZIP_STAT_CHECKED, False):
+        return
+
+    def invalidate_caches(self):
+        try:  # stat before reading: a write during the read shows next call
+            st = os.stat(self.archive)
+        except OSError:
+            self._read_stat = None
+            return reread(self)
+        stat = (st.st_mtime_ns, st.st_size, st.st_ino)
+        if getattr(self, "_read_stat", None) != stat:
+            reread(self)
+            self._read_stat = stat
+
+    setattr(invalidate_caches, ZIP_STAT_CHECKED, True)
+    zipimport.zipimporter.invalidate_caches = invalidate_caches
+
+
 def with_predict_udf(df: DataFrame, run_batch) -> DataFrame:
     """``prediction``/``score`` of every row of ``df``, through the
     vectorized Arrow UDF scoring each record batch with ``run_batch(batch)
-    -> (label, score)``; the input columns are not returned."""
+    -> (label, score)``; the input columns are not returned. Each worker
+    process that runs it installs :func:`install_zip_stat_check` first."""
 
     def mapper(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
+        install_zip_stat_check()
         for batch in batches:
             label, score = run_batch(batch)
             # typed as PREDICTION_SCHEMA: mapInArrow does not cast (the
@@ -117,8 +164,9 @@ def sink(df: DataFrame) -> None:
 def register_pandas_tables(
     spark: SparkSession, tables: dict[str, pd.DataFrame], repartition: int | None = None
 ) -> dict[str, DataFrame]:
-    """pandas -> cached Spark DataFrames (benchmarks pre-cache inputs so
-    timings measure the query, not the driver-side upload)."""
+    """pandas -> Spark DataFrames, one per table, each spread round-robin
+    over ``repartition`` partitions when given. Nothing is cached: every
+    query scans the rows ``createDataFrame`` shipped."""
     out = {}
     for name, pdf in tables.items():
         df = spark.createDataFrame(pdf)

@@ -241,6 +241,22 @@ class TestHospitalEndToEnd:
         )
 
 
+def test_udf_workers_check_zip_stat(spark):
+    # every worker process that runs the UDF has the stat check installed
+    # before it scores its first batch
+    mark = spark_exec.ZIP_STAT_CHECKED
+
+    def scorer(batch):
+        import zipimport
+
+        installed = getattr(zipimport.zipimporter.invalidate_caches, mark, False)
+        return np.full(batch.num_rows, int(installed)), np.zeros(batch.num_rows)
+
+    df = spark.range(0, 20000, numPartitions=4)
+    got = spark_exec.with_predict_udf(df, scorer).toPandas()
+    assert len(got) == 20000 and (got["prediction"] == 1).all()
+
+
 class TestPartitionedPlans:
     @pytest.mark.parametrize("runtime", ["none", "dnn"])
     def test_null_and_unseen_keys_keep_labels(self, spark, runtime):
