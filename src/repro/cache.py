@@ -28,7 +28,7 @@ from typing import Callable, TypeVar
 
 T = TypeVar("T")
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 log = logging.getLogger(__name__)
 

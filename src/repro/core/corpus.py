@@ -30,7 +30,6 @@ from repro.core.features import pipeline_features
 from repro.core.optimizer import OptimizerConfig, RavenOptimizer
 from repro.core.predicate_pruning import tree_ensemble_size
 from repro.core.query import PredictionQuery
-from repro.ir.builder import build_pipeline_ir
 from repro.ml.pipeline import fit_pipeline
 from repro.runtime import spark_exec
 from repro.sqlserver.engine import EngineError, SqlServerSim
@@ -106,8 +105,7 @@ def _corpus_pipelines(n_pipelines: int, n_rows_train: int, n_rows_eval: int,
         hp = {k: spec[k] for k in ("l1", "max_depth", "n_estimators") if k in spec}
         if spec["kind"] in ("gb", "rf"):
             hp["max_features"] = 64  # bound corpus training cost
-        tp = fit_pipeline(train, num_cols, cat_cols, "label", spec["kind"], **hp)
-        p = build_pipeline_ir(tp)
+        p = fit_pipeline(train, num_cols, cat_cols, "label", spec["kind"], **hp)
         eval_pdf = _make_frame(spec, n_rows_eval, seed * 2000 + i).drop(columns="label")
         yield p, eval_pdf
 

@@ -132,6 +132,10 @@ def parse_prediction_query(
             if name == alias:
                 if op != "=":
                     raise ValueError("output predicate must be an equality")
+                if vkind == "str" or not value.is_integer():
+                    raise ValueError(f"output predicate needs a class label, got {raw}")
+                if output_filter not in (None, ("prediction", int(value))):
+                    raise ValueError(f"conflicting output predicates on {alias!r}")
                 output_filter = ("prediction", int(value))
             else:
                 where.append(Predicate(name, op, value))

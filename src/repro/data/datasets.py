@@ -406,9 +406,9 @@ def joined_frame(name: str, n_rows: int, seed: int = 0) -> pd.DataFrame:
 
 def train_pipeline_for(name: str, model_kind: str, *, n_train: int = 8000,
                        seed: int = 123, **hp):
-    """Train (with disk caching) the paper's pipeline for a dataset:
-    scaler + one-hot encoders + model, fit on a fresh training sample
-    (the paper trains on 80% of the *original*, un-scaled datasets)."""
+    """Train (with disk caching) the paper's pipeline for a dataset: the IR
+    pipeline of scaler + one-hot encoders + model, fit on a fresh training
+    sample (the paper trains on 80% of the *original*, un-scaled datasets)."""
     from repro.ml.pipeline import fit_pipeline_cached
 
     spec = get_spec(name)

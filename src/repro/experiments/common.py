@@ -13,7 +13,6 @@ from repro.core.optimizer import OptimizerConfig, PhysicalPlan, RavenOptimizer
 from repro.core.query import PredictionQuery
 from repro.core.strategies import ClassificationStrategy
 from repro.data import datasets as ds
-from repro.ir.builder import build_pipeline_ir
 from repro.ir.graph import Pipeline
 from repro.runtime import spark_exec
 
@@ -96,10 +95,9 @@ def dataset_env(spark: SparkSession, name: str, n_rows: int, seed: int = 0) -> D
 
 
 def dataset_pipeline(name: str, kind: str, **hp) -> Pipeline:
-    """Cached trained pipeline -> IR for a dataset/model combination."""
-    merged = {**MODEL_SETTINGS.get(kind, {}), **hp}
-    tp = ds.train_pipeline_for(name, kind, **merged)
-    return build_pipeline_ir(tp)
+    """The cached trained IR pipeline for a dataset/model combination, with
+    :data:`MODEL_SETTINGS` under any ``hp`` given."""
+    return ds.train_pipeline_for(name, kind, **{**MODEL_SETTINGS.get(kind, {}), **hp})
 
 
 _STRATEGIES: dict[bool, ClassificationStrategy] = {}

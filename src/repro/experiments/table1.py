@@ -36,11 +36,11 @@ def run(n_rows: int = 5000, seed: int = 0) -> list[dict]:
     for name in ds.DATASETS:
         spec = ds.get_spec(name)
         frame = ds.joined_frame(name, n_rows, seed)
-        tp = fit_pipeline(
+        p = fit_pipeline(
             frame, spec.num_cols, spec.cat_cols, ds.LABEL, "dt", max_depth=2,
             cat_domains=spec.cat_domains or None,
         )
-        enc_cat = tp.n_features - len(spec.num_cols)
+        enc_cat = p.n_model_features() - len(spec.num_cols)
         rows.append(
             {
                 "dataset": name,

@@ -29,7 +29,7 @@ class Tree:
     value : (n_nodes, n_out) float64 — payload, valid at leaves. For
         classification trees this is the class-probability vector; for
         boosted regression trees it is a 1-wide margin (learning rate
-        already folded in by the IR builder).
+        already folded in by ``repro.ml.pipeline.fit_pipeline``).
     """
 
     feature: np.ndarray

@@ -6,13 +6,14 @@ single-precision feature matrices, all trees of an ensemble traversed at
 once (Hummingbird's TreeTraversal layout, the batched analogue of ONNX
 Runtime's TreeEnsemble kernel), BLAS matvec for linear models.
 
-:func:`featurize` is the one definition of the model's input vector: the
-tensor runtime (:mod:`repro.runtime.dnn_rt`) calls it too, and the pruning
-rules (:mod:`repro.core.predicate_pruning`) evaluate it at predicate bounds,
-so a slot's value is computed by the same operations everywhere. It reads
-a ``pyarrow.RecordBatch`` (one-hot codes come from ``pyarrow.compute``,
-never from Python strings); a pandas frame goes through
-:func:`arrow_batch` first. :func:`predict` is the model kernel and
+:func:`featurize` is the one definition of the model's input vector:
+training (:func:`repro.ml.pipeline.fit_pipeline`) builds its matrix with
+it, the tensor runtime (:mod:`repro.runtime.dnn_rt`) calls it too, and the
+pruning rules (:mod:`repro.core.predicate_pruning`) evaluate it at
+predicate bounds, so a slot's value is computed by the same operations
+everywhere. It reads a ``pyarrow.RecordBatch`` (one-hot codes come from
+``pyarrow.compute``, never from Python strings); a pandas frame goes
+through :func:`arrow_batch` first. :func:`predict` is the model kernel and
 :class:`TreeStack` its tree traversal, which ``dnn_rt``'s traversal
 strategy runs too. The reference runtime
 (:mod:`repro.runtime.reference_rt`) deliberately keeps its own.

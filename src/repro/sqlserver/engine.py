@@ -42,7 +42,7 @@ measure result shipping.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import duckdb
@@ -67,16 +67,45 @@ def _select_list(cols: list[str]) -> str:
     return ", ".join(cols) or "1 AS _one"
 
 
+def _owners(query: PredictionQuery) -> dict[str, str | None]:
+    """Each column of the star -> the table it is read from: the one table
+    that has it, or the fact table for a join key the fact and its joined
+    dims share by name (the equi-join makes their values equal); ``None``
+    for any other name several tables share."""
+    keys = {(j.dim_table, j.fact_key) for j in query.joins if j.fact_key == j.dim_key}
+    owners: dict[str, str | None] = {}
+    for t in [query.fact] + [j.dim_table for j in query.joins]:
+        for c in query.table_cols.get(t, ()):
+            if c not in owners:
+                owners[c] = t
+            elif owners[c] != query.fact or (t, c) not in keys:
+                owners[c] = None
+    return owners
+
+
 def data_select_sql(query: PredictionQuery, cols: list[str]) -> str:
-    """Relational part of the prediction query as a SQL string."""
-    sql = f"SELECT {_select_list(cols)} FROM {query.fact}"
+    """Relational part of the prediction query as a SQL string. A join key
+    a dim shares with the fact by name is qualified by the fact (see
+    :func:`_owners`); every other column is written bare."""
+    owners = _owners(query)
+    shared = {
+        c for j in query.joins for c in query.table_cols.get(j.dim_table, ())
+        if owners[c] == query.fact
+    }
+
+    def name(c: str) -> str:
+        return f"{query.fact}.{c}" if c in shared else c
+
+    sql = f"SELECT {_select_list([name(c) for c in cols])} FROM {query.fact}"
     for j in query.joins:
         sql += (
             f" JOIN {j.dim_table} ON {query.fact}.{j.fact_key} = "
             f"{j.dim_table}.{j.dim_key}"
         )
     if query.where:
-        sql += " WHERE " + " AND ".join(_pred_sql(p) for p in query.where)
+        sql += " WHERE " + " AND ".join(
+            _pred_sql(replace(p, col=name(p.col))) for p in query.where
+        )
     return sql
 
 
@@ -113,17 +142,13 @@ def encoded_scan(
     owner is unknown or a one-hot column is not VARCHAR (``types``: table
     -> column -> DuckDB type)."""
     tables = [query.fact] + [j.dim_table for j in query.joins]
-
-    def owner(col: str) -> str | None:
-        owners = [t for t in tables if col in query.table_cols.get(t, ())]
-        return owners[0] if len(owners) == 1 else None
-
+    owners = _owners(query)
     cats = _onehot_categories(pipeline)
     select: dict[str, list[str]] = {t: [] for t in tables}
     where: dict[str, list[str]] = {t: [] for t in tables}
     outer, dictionaries = [], {}
     for c in pipeline.input_cols:
-        t = owner(c)
+        t = owners.get(c)
         if t is None:
             return None
         outer.append(f"{t}.{c}")
@@ -142,7 +167,7 @@ def encoded_scan(
             f"CAST(COALESCE({position}, 0) AS {_code_type(len(dictionaries[c]))}) AS {c}"
         )
     for p in query.where:
-        t = owner(p.col)
+        t = owners.get(p.col)
         if t is None:
             return None
         where[t].append(f"{t}.{_pred_sql(p)}")

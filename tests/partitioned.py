@@ -4,7 +4,6 @@ import numpy as np
 import pandas as pd
 
 from repro.core.query import PredictionQuery
-from repro.ir.builder import build_pipeline_ir
 from repro.ml.pipeline import fit_pipeline
 
 
@@ -25,9 +24,9 @@ def partitioned_case(n: int = 3000, seed: int = 23):
         "y": rng.standard_normal(n),
     })
     label = ((t.x % 10 > 5) ^ (t.y > 0)) | (t.k == "p2")
-    p = build_pipeline_ir(fit_pipeline(
+    p = fit_pipeline(
         t.assign(label=label.astype(int)), ["x", "y"], ["k"], "label", "dt", max_depth=8
-    ))
+    )
     t.loc[::15, "k"] = None
     query = PredictionQuery(
         fact="t", pipeline=p, joins=[], where=[],

@@ -5,6 +5,7 @@ import pandas as pd
 import pytest
 
 from repro.data import datasets as ds
+from repro.runtime import onnx_rt
 
 # Table 1 of the paper, verbatim.
 TABLE1 = {
@@ -122,27 +123,26 @@ class TestLearnability:
         frame = ds.joined_frame(name, 4000, seed=21)
         from repro.ml.pipeline import fit_pipeline
 
-        tp = fit_pipeline(
+        p = fit_pipeline(
             frame, spec.num_cols, spec.cat_cols, ds.LABEL, "dt", max_depth=8,
             cat_domains=spec.cat_domains or None,
         )
-        assert (tp.predict(frame) == frame[ds.LABEL]).mean() > 0.7
+        assert (onnx_rt.run(p, frame)[0] == frame[ds.LABEL]).mean() > 0.7
 
     def test_deeper_hospital_trees_use_more_inputs(self):
         """The Fig 10 x-axis: unused-column count falls with depth."""
         from repro.core.projection_pushdown import apply_projection_pushdown
-        from repro.ir.builder import build_pipeline_ir
         from repro.ml.pipeline import fit_pipeline
 
         spec = ds.get_spec("hospital")
         frame = ds.joined_frame("hospital", 6000, seed=22)
         unused = []
         for depth in (3, 8, 15):
-            tp = fit_pipeline(
+            p = fit_pipeline(
                 frame, spec.num_cols, spec.cat_cols, ds.LABEL, "dt",
                 max_depth=depth, cat_domains=spec.cat_domains,
             )
-            res = apply_projection_pushdown(build_pipeline_ir(tp))
+            res = apply_projection_pushdown(p)
             unused.append(len(res.removed_cols))
         assert unused[0] > unused[-1]
         assert unused[0] >= 5

@@ -115,3 +115,12 @@ def test_driver_memory_without_any_readable_limit(tmp_path, monkeypatch):
     monkeypatch.setattr(spark_session, "_MEMINFO", str(tmp_path / "absent"))
     monkeypatch.delenv("SPARK_DRIVER_MEM", raising=False)
     assert spark_session.driver_memory() == ("2g", "fallback")
+
+
+@pytest.mark.parametrize("name", ["table1", "table2"])
+def test_jvm_free_table_harness_passes_its_check(capsys, name):
+    """Table 1 reads the trained featurizer's width, Table 2 the pruning
+    counts; each prints its table and passes its check (else SystemExit)."""
+    entry.main([name])
+    out, _ = capsys.readouterr()
+    assert f"== {entry.EXPERIMENTS[name].title} ==" in out

@@ -1,14 +1,16 @@
-"""Unit tests for the unified IR: tree rewrites, graph, slots, builder,
-and the two CPU runtimes."""
+"""Unit tests for the unified IR: tree rewrites, graph, slots, the trained
+pipeline's graph, and the two CPU runtimes."""
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.ir.builder import build_pipeline_ir
 from repro.ir.graph import Node, Pipeline, model_used_features, node_width
 from repro.ir.slots import Slot, model_input_slots
 from repro.ir.tree import LEAF, Tree, leaf_tree
-from repro.ml.pipeline import fit_pipeline
+from repro.ml.ensemble import GradientBoosting, RandomForest
+from repro.ml.linear import LogisticRegression
+from repro.ml.pipeline import fit_pipeline, model_attrs
+from repro.ml.tree import DecisionTree
 from repro.runtime import onnx_rt, reference_rt
 
 
@@ -146,34 +148,51 @@ def frame():
     return pdf
 
 
+#: the frame's feature vector: age, bpm, asthma {0, 1}, smoker {no, quit, yes}
+N_FEATURES = 7
+
+LEARNERS = {
+    "lr": lambda: LogisticRegression(),
+    "dt": lambda: DecisionTree(max_depth=5),
+    "gb": lambda: GradientBoosting(n_estimators=8, max_depth=5),
+    "rf": lambda: RandomForest(n_estimators=8, max_depth=5),
+}
+
+
 @pytest.fixture(scope="module", params=["lr", "dt", "gb", "rf"])
 def ir_and_frame(request, frame):
-    tp = fit_pipeline(
+    p = fit_pipeline(
         frame, ["age", "bpm"], ["asthma", "smoker"], "label", request.param,
         max_depth=5, n_estimators=8,
     )
-    return build_pipeline_ir(tp), tp, frame
+    return p, frame
 
 
 class TestBuilderAndRuntimes:
     def test_ir_validates(self, ir_and_frame):
-        p, tp, frame = ir_and_frame
+        p, frame = ir_and_frame
         p.validate()
         assert p.input_cols == ["age", "bpm", "asthma", "smoker"]
-        assert p.n_model_features() == tp.n_features
+        assert p.n_model_features() == N_FEATURES
 
     def test_onnx_rt_matches_native_predict(self, ir_and_frame):
-        p, tp, frame = ir_and_frame
-        label, score = onnx_rt.run(p, frame)
-        np.testing.assert_array_equal(label, tp.predict(frame))
-        np.testing.assert_allclose(score, tp.predict_proba1(frame), atol=1e-6)
+        """A learner's own predict / predict_proba on a matrix equals
+        onnx_rt.predict over its converted model node."""
+        p, frame = ir_and_frame
+        kind = p.model_node.attrs.get("kind", "lr")
+        X = np.ascontiguousarray(onnx_rt.featurize(p, frame), dtype=np.float32)
+        model = LEARNERS[kind]().fit(X, frame["label"].to_numpy())
+        node = Node(p.model_node.op, [], model_attrs(model, kind))
+        label, score = onnx_rt.predict(node, X)
+        np.testing.assert_array_equal(label, model.predict(X))
+        np.testing.assert_allclose(score, model.predict_proba(X)[:, 1], atol=1e-6)
 
     def test_reference_rt_matches_onnx_rt(self, ir_and_frame):
-        p, _, frame = ir_and_frame
+        p, frame = ir_and_frame
         assert reference_rt.agrees_with_onnx_rt(p, frame)
 
     def test_topo_order_parents_after_children(self, ir_and_frame):
-        p, _, _ = ir_and_frame
+        p, _ = ir_and_frame
         order = p.topo_order()
         pos = {nid: i for i, nid in enumerate(order)}
         for nid in order:
@@ -181,17 +200,17 @@ class TestBuilderAndRuntimes:
                 assert pos[dep] < pos[nid]
 
     def test_slots_cover_features(self, ir_and_frame):
-        p, tp, _ = ir_and_frame
+        p, _ = ir_and_frame
         slots = model_input_slots(p)
-        assert len(slots) == tp.n_features
+        assert len(slots) == N_FEATURES
         assert [s.kind for s in slots[:2]] == ["num", "num"]
         assert all(s.kind == "onehot" for s in slots[2:])
 
     def test_slot_affine_matches_scaler(self, ir_and_frame):
-        p, tp, frame = ir_and_frame
+        p, frame = ir_and_frame
         slots = model_input_slots(p)
         age = frame["age"].to_numpy()
-        expected = (age - tp.scaler.mean_[0]) * tp.scaler.scale_[0]
+        expected = (age - age.mean()) / age.std()
         np.testing.assert_allclose(slots[0].a * age + slots[0].b, expected)
 
 
@@ -228,12 +247,12 @@ class TestSlots:
 
 class TestGraphUtils:
     def test_node_width(self, ir_and_frame):
-        p, tp, _ = ir_and_frame
+        p, _ = ir_and_frame
         model_in = p.model_node.inputs[0]
-        assert node_width(p, model_in) == tp.n_features
+        assert node_width(p, model_in) == N_FEATURES
 
     def test_gc_drops_unreachable(self, ir_and_frame):
-        p, _, _ = ir_and_frame
+        p, _ = ir_and_frame
         q = p.clone()
         orphan = Node("constant", [], {"value": 1.0})
         q.nodes[orphan.id] = orphan

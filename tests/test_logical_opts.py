@@ -23,7 +23,6 @@ from repro.core.predicate_pruning import (
     tree_ensemble_size,
 )
 from repro.core.projection_pushdown import apply_projection_pushdown
-from repro.ir.builder import build_pipeline_ir
 from repro.ir.tree import LEAF
 from repro.ml.pipeline import fit_pipeline
 from repro.runtime import onnx_rt
@@ -50,10 +49,9 @@ def frame():
 
 
 def _ir(frame, kind, **kw):
-    tp = fit_pipeline(
+    return fit_pipeline(
         frame, ["age", "bpm", "weight"], ["asthma", "smoker"], "label", kind, **kw
     )
-    return build_pipeline_ir(tp)
 
 
 def _assert_equiv(p_opt, p_orig, pdf, atol=1e-9):
@@ -245,8 +243,7 @@ class TestProjectionPushdown:
 
     def test_single_leaf_model_prunes_everything(self, frame):
         pdf = frame.assign(label=0)  # constant label -> single-leaf tree
-        tp = fit_pipeline(pdf, ["age"], ["asthma"], "label", "dt", max_depth=3)
-        p = build_pipeline_ir(tp)
+        p = fit_pipeline(pdf, ["age"], ["asthma"], "label", "dt", max_depth=3)
         res = apply_projection_pushdown(p)
         assert res.removed_cols == ["age", "asthma"]
         l, _ = onnx_rt.run(res.pipeline, pdf)
@@ -265,7 +262,7 @@ def null_x():
         "c": rng.choice(["a", "b", "c"], n),
     })
     pdf["label"] = ((pdf.x + 0.5 * pdf.y > 0) ^ (pdf.c == "a")).astype(int)
-    p = build_pipeline_ir(fit_pipeline(pdf, ["x", "y"], ["c"], "label", "dt", max_depth=6))
+    p = fit_pipeline(pdf, ["x", "y"], ["c"], "label", "dt", max_depth=6)
     rows = pdf[pdf.x < 0].head(500).drop(columns="label").reset_index(drop=True)
     rows.loc[::10, "x"] = np.nan
     return pdf, p, rows
@@ -321,7 +318,7 @@ class TestDataInduced:
         # x is one value or NULL: the slot is not known, so x stays a model
         # input and a NULL still makes the margin NaN
         pdf, _, rows = null_x
-        p = build_pipeline_ir(fit_pipeline(pdf, ["x", "y"], ["c"], "label", "lr"))
+        p = fit_pipeline(pdf, ["x", "y"], ["c"], "label", "lr")
         rows = rows.assign(x=rows.x.where(rows.x.isna(), -0.5))
         stats = collect_stats_pandas(rows, ["x", "y"], ["c"])
         pruned = apply_data_induced_pruning(p, stats).pipeline

@@ -4,9 +4,10 @@ import pandas as pd
 import pytest
 
 from repro.ml.ensemble import GradientBoosting, RandomForest, sigmoid
-from repro.ml.featurize import OneHotEncoder, StandardScaler
+from repro.ir.slots import model_input_slots
 from repro.ml.linear import LogisticRegression
 from repro.ml.pipeline import fit_pipeline
+from repro.runtime import onnx_rt
 
 
 def _data(n=1500, d=8, seed=0):
@@ -96,30 +97,41 @@ class TestLogisticRegression:
         assert lr.coef_[0] != 0.0 and lr.coef_[3] != 0.0
 
 
+def _fit_featurizers(pdf, num_cols=(), cat_cols=()):
+    """The fitted featurizers of a pipeline trained on ``pdf`` (label 0/1)."""
+    pdf = pdf.assign(label=np.arange(len(pdf)) % 2)
+    return fit_pipeline(pdf, list(num_cols), list(cat_cols), "label", "dt", max_depth=1)
+
+
+def _op(p, op):
+    (node,) = [n for n in p.nodes.values() if n.op == op]
+    return node
+
+
 class TestFeaturizers:
     def test_scaler_roundtrip(self):
         rng = np.random.default_rng(0)
-        X = rng.normal(5, 3, size=(500, 4))
-        sc = StandardScaler().fit(X)
-        Z = sc.transform(X)
+        pdf = pd.DataFrame(rng.normal(5, 3, size=(500, 4)), columns=list("abcd"))
+        Z = onnx_rt.featurize(_fit_featurizers(pdf, "abcd"), pdf)
         np.testing.assert_allclose(Z.mean(axis=0), 0.0, atol=1e-9)
         np.testing.assert_allclose(Z.std(axis=0), 1.0, atol=1e-9)
 
     def test_scaler_constant_column(self):
-        X = np.ones((10, 2))
-        X[:, 1] = np.arange(10)
-        Z = StandardScaler().fit(X).transform(X)
-        assert np.all(np.isfinite(Z))
+        pdf = pd.DataFrame({"one": np.ones(10), "i": np.arange(10.0)})
+        p = _fit_featurizers(pdf, ["one", "i"])
+        assert _op(p, "scaler").attrs["scale"][0] == 1.0
+        assert np.all(np.isfinite(onnx_rt.featurize(p, pdf)))
 
     def test_onehot_known_categories(self):
-        enc = OneHotEncoder().fit(["a", "b", "c", "a"])
-        assert enc.categories_ == ["a", "b", "c"]
-        out = enc.transform(["b", "a"])
+        p = _fit_featurizers(pd.DataFrame({"c": ["b", "c", "a", "a"]}), cat_cols=["c"])
+        assert _op(p, "onehot").attrs["categories"] == ["a", "b", "c"]
+        out = onnx_rt.featurize(p, pd.DataFrame({"c": ["b", "a"]}))
         np.testing.assert_array_equal(out, [[0, 1, 0], [1, 0, 0]])
 
     def test_onehot_unknown_is_all_zero(self):
-        enc = OneHotEncoder().fit(["x", "y"])
-        np.testing.assert_array_equal(enc.transform(["z"]), [[0, 0]])
+        p = _fit_featurizers(pd.DataFrame({"c": ["x", "y"]}), cat_cols=["c"])
+        out = onnx_rt.featurize(p, pd.DataFrame({"c": ["z"]}))
+        np.testing.assert_array_equal(out, [[0, 0]])
 
 
 class TestFitPipeline:
@@ -142,22 +154,24 @@ class TestFitPipeline:
 
     @pytest.mark.parametrize("kind", ["lr", "dt", "gb", "rf"])
     def test_all_model_kinds_learn(self, frame, kind):
-        tp = fit_pipeline(
+        p = fit_pipeline(
             frame, ["x1", "x2"], ["c1", "c2"], "label", kind,
             max_depth=6, n_estimators=10,
         )
-        assert (tp.predict(frame) == frame.label).mean() > 0.85
+        assert (onnx_rt.run(p, frame)[0] == frame.label).mean() > 0.85
 
     def test_feature_layout(self, frame):
-        tp = fit_pipeline(frame, ["x1", "x2"], ["c1", "c2"], "label", "dt", max_depth=3)
-        assert tp.feature_names == ["x1", "x2", "c1=a", "c1=b", "c1=c", "c2=p", "c2=q"]
-        assert tp.n_features == 7
-        assert tp.featurize(frame).shape == (len(frame), 7)
+        p = fit_pipeline(frame, ["x1", "x2"], ["c1", "c2"], "label", "dt", max_depth=3)
+        names = [s.source if s.kind == "num" else f"{s.source}={s.category}"
+                 for s in model_input_slots(p)]
+        assert names == ["x1", "x2", "c1=a", "c1=b", "c1=c", "c2=p", "c2=q"]
+        assert p.n_model_features() == 7
+        assert onnx_rt.featurize(p, frame).shape == (len(frame), 7)
 
     def test_categoricals_only(self, frame):
-        tp = fit_pipeline(frame, [], ["c1", "c2"], "label", "dt", max_depth=4)
-        assert tp.n_features == 5
-        tp.predict(frame)  # no numeric branch
+        p = fit_pipeline(frame, [], ["c1", "c2"], "label", "dt", max_depth=4)
+        assert p.n_model_features() == 5
+        onnx_rt.run(p, frame)  # no numeric branch
 
     def test_bad_kind_raises(self, frame):
         with pytest.raises(ValueError):

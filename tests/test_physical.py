@@ -9,7 +9,6 @@ import pytest
 from repro.core.ml2sql import _lit, compile_model_sql, compile_to_sql
 from repro.core.predicate_pruning import Predicate, apply_predicate_pruning
 from repro.core.projection_pushdown import apply_projection_pushdown
-from repro.ir.builder import build_pipeline_ir
 from repro.ir.slots import model_input_slots
 from repro.ml.pipeline import fit_pipeline
 from repro.runtime import onnx_rt
@@ -38,10 +37,9 @@ def frame():
 
 
 def _ir(frame, kind, **kw):
-    tp = fit_pipeline(
+    return fit_pipeline(
         frame, ["age", "bmi", "pulse"], ["gender", "ward"], "label", kind, **kw
     )
-    return build_pipeline_ir(tp)
 
 
 def _duck_eval(sqlp, pdf):
@@ -138,8 +136,7 @@ class TestMLtoSQL:
         pdf = pd.DataFrame(
             {"c": ["o'brien", "smith", "a\\tb", "x\\"] * 100, "label": [1, 0, 1, 0] * 100}
         )
-        tp = fit_pipeline(pdf, [], ["c"], "label", "dt", max_depth=2)
-        p = build_pipeline_ir(tp)
+        p = fit_pipeline(pdf, [], ["c"], "label", "dt", max_depth=2)
         sqlp = compile_to_sql(p)
         label_sql, _ = _duck_eval(sqlp, pdf)
         np.testing.assert_array_equal(label_sql, onnx_rt.run(p, pdf)[0])

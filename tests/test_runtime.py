@@ -7,7 +7,6 @@ import pyarrow as pa
 import pytest
 
 from repro.core.predicate_pruning import apply_output_predicate_pruning
-from repro.ir.builder import build_pipeline_ir
 from repro.ir.slots import model_input_slots
 from repro.ml.pipeline import fit_pipeline
 from repro.runtime import onnx_rt
@@ -36,7 +35,7 @@ def frame():
 
 
 def _ir(frame, kind, **kw):
-    return build_pipeline_ir(fit_pipeline(frame, NUM, CAT, "label", kind, **kw))
+    return fit_pipeline(frame, NUM, CAT, "label", kind, **kw)
 
 
 def _per_tree(model, X):

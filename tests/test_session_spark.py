@@ -12,7 +12,6 @@ from repro.core.predicate_pruning import Predicate
 from repro.core.query import PredictionQuery
 from repro.core.session import RavenSession, dataset_query
 from repro.data import datasets as ds
-from repro.ir.builder import build_pipeline_ir
 from repro.ml.pipeline import fit_pipeline
 from repro.runtime import spark_exec
 
@@ -34,11 +33,10 @@ def _session(spark, catalog, tables, config):
 
 
 def _pipeline(spec, frame, kind, **kw):
-    tp = fit_pipeline(
+    return fit_pipeline(
         frame, spec.num_cols, spec.cat_cols, ds.LABEL, kind,
         cat_domains=spec.cat_domains or None, **kw,
     )
-    return build_pipeline_ir(tp)
 
 
 def _collect(df):
@@ -103,9 +101,9 @@ class TestHospitalEndToEnd:
         rng = np.random.default_rng(3)
         t = pd.DataFrame({"a": rng.normal(size=2000), "b": rng.normal(size=2000)})
         t["label"] = (t.a + 0.3 * t.b > 0.8).astype(int)
-        p = build_pipeline_ir(fit_pipeline(
+        p = fit_pipeline(
             t, ["a", "b"], [], "label", "gb", max_depth=3, n_estimators=10
-        ))
+        )
         base = float(p.model_node.attrs["base_score"])
         assert abs(base) > 0.5  # a literal no other constant of the plan repeats
         # repartitioned, so Catalyst does not fold the query into local data
@@ -151,9 +149,9 @@ class TestHospitalEndToEnd:
         nulls = rows.index[::7]
         rows.loc[nulls, "ward"] = None
         rows.loc[nulls, ds.LABEL] = 1 - rows.loc[nulls, ds.LABEL]
-        p = build_pipeline_ir(fit_pipeline(
+        p = fit_pipeline(
             rows, spec.num_cols, spec.cat_cols, ds.LABEL, "dt", max_depth=8
-        ))
+        )
         rows = rows[p.input_cols].assign(_i=np.arange(len(rows)))
         got = (
             spark.createDataFrame(rows)
@@ -303,7 +301,7 @@ class TestStringLiterals:
         from repro.runtime import onnx_rt
 
         t = _literal_frame()
-        p = build_pipeline_ir(fit_pipeline(t, ["x"], ["c"], "label", "dt", max_depth=4))
+        p = fit_pipeline(t, ["x"], ["c"], "label", "dt", max_depth=4)
         got = (
             spark.createDataFrame(t.assign(_i=np.arange(len(t))))
             .select("_i", F.expr(compile_to_sql(p).label_sql).alias("prediction"))

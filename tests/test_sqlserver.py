@@ -13,7 +13,6 @@ from repro.core.predicate_pruning import Predicate
 from repro.core.query import Join, PredictionQuery
 from repro.core.session import dataset_query
 from repro.data import datasets as ds
-from repro.ir.builder import build_pipeline_ir
 from repro.ml.pipeline import fit_pipeline
 from repro.runtime import dnn_rt, onnx_rt
 from repro.runtime.dnn_rt import compile_to_dnn
@@ -32,11 +31,10 @@ def hosp():
 
 
 def _ir(spec, frame, kind, **kw):
-    tp = fit_pipeline(
+    return fit_pipeline(
         frame, spec.num_cols, spec.cat_cols, ds.LABEL, kind,
         cat_domains=spec.cat_domains or None, **kw,
     )
-    return build_pipeline_ir(tp)
 
 
 class TestDataSelectSql:
@@ -140,7 +138,7 @@ class TestSqlServerSim:
         names = rng.choice(["O'Brien", "Smith", "D'Arcy"], 300)
         t = pd.DataFrame({"name": names, "x": rng.normal(size=300)})
         t["label"] = (t.x > 0).astype(int)
-        p = build_pipeline_ir(fit_pipeline(t, ["x"], ["name"], "label", "dt", max_depth=3))
+        p = fit_pipeline(t, ["x"], ["name"], "label", "dt", max_depth=3)
         tables = {"people": t.drop(columns="label")}
         q = parse_prediction_query(
             "SELECT PREDICT(m, *) FROM people WHERE name = 'O''Brien'",
@@ -156,10 +154,10 @@ class TestSqlServerSim:
     def test_numeric_literal_forms(self, text, value):
         """E-notation, a leading '.' and a sign parse; so the constants
         :func:`repro.core.ml2sql._lit` writes parse back exactly."""
-        p = build_pipeline_ir(fit_pipeline(
+        p = fit_pipeline(
             pd.DataFrame({"x": [0.0, 1.0, 2.0, 3.0], "label": [0, 0, 1, 1]}),
             ["x"], [], "label", "lr",
-        ))
+        )
         q = parse_prediction_query(
             f"SELECT PREDICT(m, *) FROM t WHERE x >= {text} AND x < {engine._lit(value)}",
             {"m": p}, {"t": ["x"]},
@@ -173,7 +171,7 @@ class TestSqlServerSim:
         rng = np.random.default_rng(8)
         t = pd.DataFrame({"x": rng.uniform(0, 100, 400) * np.exp(rng.uniform(-5, 5, 400))})
         t["label"] = (t.x > 10).astype(int)
-        p = build_pipeline_ir(fit_pipeline(t, ["x"], [], "label", "lr"))
+        p = fit_pipeline(t, ["x"], [], "label", "lr")
         tables = {"t": t.drop(columns="label")}
         eng = SqlServerSim(tables, threads=2)
         try:
@@ -192,7 +190,7 @@ class TestSqlServerSim:
         rng = np.random.default_rng(2)
         t = pd.DataFrame({"x": rng.normal(size=200), "c": rng.choice(["a", "b"], 200)})
         t["label"] = (rng.random(200) < 0.3).astype(int)
-        p = build_pipeline_ir(fit_pipeline(t, ["x"], ["c"], "label", "lr", l1=50.0))
+        p = fit_pipeline(t, ["x"], ["c"], "label", "lr", l1=50.0)
         q = parse_prediction_query(
             "SELECT PREDICT(m, *) FROM t WHERE x > 0", {"m": p}, {"t": ["x", "c"]}
         )
@@ -212,7 +210,7 @@ class TestSqlServerSim:
         rng = np.random.default_rng(5)
         t = pd.DataFrame({"x": rng.normal(size=400), "c": rng.choice(["a", "b", "c"], 400)})
         t["label"] = ((t.x > 0) ^ (t.c == "b")).astype(int)
-        p = build_pipeline_ir(fit_pipeline(t, ["x"], ["c"], "label", "dt", max_depth=4))
+        p = fit_pipeline(t, ["x"], ["c"], "label", "dt", max_depth=4)
         q = parse_prediction_query(
             "SELECT PREDICT(m, *) FROM t WHERE c >= 'b'", {"m": p}, {"t": ["x", "c"]}
         )
@@ -233,7 +231,7 @@ class TestSqlServerSim:
         rng = np.random.default_rng(5)
         t = pd.DataFrame({"x": rng.normal(size=400), "y": rng.normal(size=400)})
         t["label"] = (t.x > t.y).astype(int)
-        p = build_pipeline_ir(fit_pipeline(t, ["x", "y"], [], "label", "dt", max_depth=3))
+        p = fit_pipeline(t, ["x", "y"], [], "label", "dt", max_depth=3)
         q = parse_prediction_query(
             "SELECT PREDICT(m, *) FROM t WHERE x = 'b'", {"m": p}, {"t": ["x", "y"]}
         )
@@ -393,11 +391,11 @@ class TestEncodedScan:
     @staticmethod
     def _fit(frame, kind, cats):
         kw = {"dt": {"max_depth": 8}, "gb": {"max_depth": 3, "n_estimators": 10}}.get(kind, {})
-        return build_pipeline_ir(fit_pipeline(
+        return fit_pipeline(
             frame, ["amount", "age"], cats, "label", kind,
             # 'fax' is a model category absent from the data
             cat_domains={"channel": ["web", "store", "phone", "fax"]}, **kw,
-        ))
+        )
 
     @pytest.fixture(scope="class")
     def models(self, star):
@@ -482,6 +480,52 @@ class TestEncodedScan:
         for schema in seen:
             for c in cats:
                 assert pa.types.is_dictionary(schema.field(c).type), c
+
+
+class TestSharedJoinKey:
+    """A WHERE on a join key the fact and a dim share by name (Expedia's
+    ``prop_id``) reads the fact's column, on each DuckDB path, and counts
+    what the pandas oracle counts."""
+
+    @pytest.fixture(scope="class")
+    def expedia(self):
+        spec = ds.get_spec("expedia")
+        tables = ds.generate("expedia", 3000, seed=65)
+        frame = ds.joined_frame("expedia", 3000, seed=65)
+        return spec, tables, frame, _ir(spec, frame, "dt", max_depth=6)
+
+    @pytest.mark.parametrize("path", ["predict_statement", "raven_predict", "raven_sql"])
+    def test_counts_equal_oracle(self, expedia, path):
+        spec, tables, frame, p = expedia
+        q = dataset_query(spec, p, tables, where=[Predicate("prop_id", "<", 50)])
+        label, _ = onnx_rt.run(p, frame[frame.prop_id < 50])
+        want = {int(k): int(n) for k, n in zip(*np.unique(label, return_counts=True))}
+        eng = SqlServerSim(tables, threads=2)
+        try:
+            if path == "predict_statement":
+                res = eng.run_predict_statement(q, p)
+            elif path == "raven_predict":
+                res = eng.run_raven_predict(
+                    RavenOptimizer(OptimizerConfig(runtime="none")).optimize(q)
+                )
+            else:
+                res = eng.run_raven_sql(RavenOptimizer(OptimizerConfig(runtime="sql")).optimize(q))
+        finally:
+            eng.close()
+        assert sum(want.values()) > 0
+        assert dict(zip(res.agg["prediction"].tolist(), res.agg["n"].tolist())) == want
+
+    def test_only_shared_keys_are_qualified(self, expedia):
+        spec, tables, _, p = expedia
+        q = dataset_query(spec, p, tables, where=[
+            Predicate("prop_id", "<", 50), Predicate("price_usd", ">", 100.0),
+        ])
+        sql = data_select_sql(q, ["prop_id", "price_usd"])
+        assert sql.startswith("SELECT searches.prop_id, price_usd FROM searches")
+        assert sql.endswith(
+            "WHERE searches.prop_id < 5.00000000000000000e+01"
+            " AND price_usd > 1.00000000000000000e+02"
+        )
 
 
 class TestMadlib:

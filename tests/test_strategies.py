@@ -15,7 +15,6 @@ from repro.core.strategies import (
     RuleBasedStrategy,
     evaluate_strategies,
 )
-from repro.ir.builder import build_pipeline_ir
 from repro.ml.pipeline import fit_pipeline
 from repro.runtime import spark_exec
 from repro.sqlserver.engine import SqlServerSim
@@ -37,8 +36,7 @@ def frame():
 
 
 def _ir(frame, kind, **kw):
-    tp = fit_pipeline(frame, ["a", "b"], ["c"], "label", kind, **kw)
-    return build_pipeline_ir(tp)
+    return fit_pipeline(frame, ["a", "b"], ["c"], "label", kind, **kw)
 
 
 @pytest.fixture(scope="module")
