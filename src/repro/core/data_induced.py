@@ -28,6 +28,7 @@ import pyarrow.compute as pc
 from repro.core.predicate_pruning import PruneResult, prune_model
 from repro.core.projection_pushdown import apply_projection_pushdown
 from repro.ir.graph import Pipeline
+from repro.runtime import onnx_rt
 
 
 @dataclass
@@ -58,7 +59,7 @@ def collect_stats_pandas(
             hi = np.inf if col.isna().any() else float(col.max())
             stats.num_ranges[c] = (float(col.min()), hi)
     for c in cat_cols:
-        stats.cat_domains[c] = {str(v) for v in pdf[c].unique()}
+        stats.cat_domains[c] = set(onnx_rt.category_strings(pdf[c].drop_duplicates()))
     return stats
 
 

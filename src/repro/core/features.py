@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ir.graph import Pipeline
+from repro.ir.graph import Pipeline, node_width
 
 FEATURE_NAMES = [
     "n_inputs",            # 1  pipeline inputs (raw columns)
@@ -47,8 +47,6 @@ def pipeline_features(p: Pipeline) -> np.ndarray:
     ohes = [n for n in nodes if n.op == "onehot"]
     ohe_outs = [len(n.attrs["categories"]) for n in ohes] or [0]
     scalers = [n for n in nodes if n.op == "scaler"]
-    from repro.ir.graph import node_width
-
     n_scaled = int(sum(node_width(p, n.id) for n in scalers))
 
     model = p.model_node

@@ -14,7 +14,8 @@ Three strategies, as in the paper:
 
 Each strategy chooses for a matrix of feature rows at once
 (``choose_rows``, which the Fig 4 evaluation calls); ``choose`` is that
-choice for one pipeline.
+choice for one pipeline. A strategy keeps its fitted model as an IR model
+node and predicts through the serving kernel, :mod:`repro.runtime.onnx_rt`.
 """
 from __future__ import annotations
 
@@ -24,9 +25,15 @@ import numpy as np
 
 from repro.core.corpus import OPTIONS, CorpusEntry, corpus_matrices
 from repro.core.features import FEATURE_NAMES, pipeline_features
-from repro.ir.graph import Pipeline
+from repro.ir.graph import Node, Pipeline
 from repro.ml.ensemble import RandomForest
+from repro.ml.pipeline import model_attrs
 from repro.ml.tree import DecisionTree
+from repro.runtime import onnx_rt
+
+
+def _model_node(model, kind: str) -> Node:
+    return Node("tree_ensemble", [], model_attrs(model, kind))
 
 
 class _Strategy:
@@ -42,7 +49,7 @@ class RuleBasedStrategy(_Strategy):
     k: int = 3
     shallow_depth: int = 2
     top_features_: list[int] = field(default_factory=list)
-    rule_tree_: DecisionTree | None = None
+    rule_: Node | None = None
 
     def fit(self, entries: list[CorpusEntry]) -> "RuleBasedStrategy":
         X, y, _ = corpus_matrices(entries)
@@ -52,17 +59,18 @@ class RuleBasedStrategy(_Strategy):
         self.top_features_ = list(
             np.argsort(full.feature_importances_)[::-1][: self.k]
         )
-        self.rule_tree_ = DecisionTree(
-            max_depth=self.shallow_depth, random_state=0
-        ).fit(X[:, self.top_features_].astype(np.float32), y)
+        rule = DecisionTree(max_depth=self.shallow_depth, random_state=0).fit(
+            X[:, self.top_features_].astype(np.float32), y
+        )
+        self.rule_ = _model_node(rule, "dt")
         return self
 
     def choose_rows(self, X: np.ndarray) -> np.ndarray:
-        return self.rule_tree_.predict(X[:, self.top_features_].astype(np.float32))
+        return onnx_rt.predict(self.rule_, X[:, self.top_features_].astype(np.float32))[0]
 
     def describe(self) -> str:
         """Human-readable nested-if form of the learned rule."""
-        t = self.rule_tree_.tree_
+        (t,) = self.rule_.attrs["trees"]
         names = [FEATURE_NAMES[i] for i in self.top_features_]
 
         def rec(node: int, indent: str) -> str:
@@ -84,17 +92,18 @@ class ClassificationStrategy(_Strategy):
     """Random-forest classifier over the 22 statistics."""
 
     n_estimators: int = 60
-    model_: RandomForest | None = None
+    model_: Node | None = None
 
     def fit(self, entries: list[CorpusEntry]) -> "ClassificationStrategy":
         X, y, _ = corpus_matrices(entries)
-        self.model_ = RandomForest(
+        rf = RandomForest(
             n_estimators=self.n_estimators, max_depth=8, random_state=0
         ).fit(X.astype(np.float32), y)
+        self.model_ = _model_node(rf, "rf")
         return self
 
     def choose_rows(self, X: np.ndarray) -> np.ndarray:
-        return self.model_.predict(X.astype(np.float32))
+        return onnx_rt.predict(self.model_, X.astype(np.float32))[0]
 
 
 @dataclass
@@ -102,7 +111,7 @@ class RegressionStrategy(_Strategy):
     """Runtime regressor; transformation id is an input feature."""
 
     max_depth: int = 10
-    model_: DecisionTree | None = None
+    model_: Node | None = None
 
     @staticmethod
     def _expand(X: np.ndarray) -> np.ndarray:
@@ -120,13 +129,15 @@ class RegressionStrategy(_Strategy):
         Xe = self._expand(X)
         # log-runtime target; unsupported options priced at a large penalty
         y = np.log(np.minimum(R.T.reshape(-1), 1e3) + 1e-6)
-        self.model_ = DecisionTree(
+        tree = DecisionTree(
             max_depth=self.max_depth, criterion="mse", random_state=0
         ).fit(Xe.astype(np.float32), y)
+        self.model_ = _model_node(tree, "dt")
         return self
 
     def choose_rows(self, X: np.ndarray) -> np.ndarray:
-        preds = self.model_.predict(self._expand(X).astype(np.float32))
+        stack = onnx_rt.stack_trees(self.model_.attrs["trees"])
+        preds = stack.payload_sum(self._expand(X).astype(np.float32), 0.0)[:, 0]
         return np.argmin(preds.reshape(len(OPTIONS), -1), axis=0)
 
 

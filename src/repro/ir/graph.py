@@ -70,9 +70,6 @@ class Pipeline:
     input_order: list[str]
 
     # -- structure ------------------------------------------------------
-    def node(self, nid: str) -> Node:
-        return self.nodes[nid]
-
     @property
     def model_node(self) -> Node:
         return self.nodes[self.output]

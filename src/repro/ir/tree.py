@@ -6,6 +6,10 @@ pushdown densifies its feature indices, and MLtoSQL/MLtoDNN compile it to
 CASE expressions / GEMM matrices. The layout mirrors ONNX's
 ``TreeEnsembleClassifier`` (and sklearn's ``tree_``): parallel arrays indexed
 by node id, with the decision rule ``x[feature] <= threshold -> left``.
+
+A tree holds structure only and has no evaluation of its own: training, the
+§5.2 strategies and serving all route rows through the one model kernel,
+:class:`repro.runtime.onnx_rt.TreeStack`.
 """
 from __future__ import annotations
 
@@ -29,7 +33,7 @@ class Tree:
     value : (n_nodes, n_out) float64 — payload, valid at leaves. For
         classification trees this is the class-probability vector; for
         boosted regression trees it is a 1-wide margin (learning rate
-        already folded in by ``repro.ml.pipeline.fit_pipeline``).
+        already folded in by ``repro.ml.ensemble.GradientBoosting.fit``).
     """
 
     feature: np.ndarray
@@ -77,25 +81,6 @@ class Tree:
         """Sorted unique feature indices appearing at internal nodes."""
         internal = self.left != LEAF
         return np.unique(self.feature[internal])
-
-    # -- evaluation -------------------------------------------------------
-    def decision_path_leaf(self, X: np.ndarray) -> np.ndarray:
-        """Vectorized level-synchronous routing: leaf node id per row."""
-        X = np.asarray(X)
-        idx = np.zeros(X.shape[0], dtype=np.int64)
-        active = self.left[idx] != LEAF
-        while active.any():
-            cur = idx[active]
-            f = self.feature[cur]
-            go_left = X[active, f] <= self.threshold[cur]
-            nxt = np.where(go_left, self.left[cur], self.right[cur])
-            idx[active] = nxt
-            active = self.left[idx] != LEAF
-        return idx
-
-    def predict_value(self, X: np.ndarray) -> np.ndarray:
-        """(n, n_out) leaf payloads for each row of ``X``."""
-        return self.value[self.decision_path_leaf(X)]
 
     # -- rewrites (all return new trees; inputs are never mutated) --------
     def prune_with_intervals(self, lo: np.ndarray, hi: np.ndarray) -> "Tree":

@@ -3,12 +3,18 @@
 Both are binary classifiers built on :class:`repro.ml.tree.DecisionTree`:
 
 - :class:`RandomForest`: bootstrap rows + per-node ``sqrt(d)`` feature
-  subsets; prediction averages per-tree class-probability vectors
+  subsets; the model averages per-tree class-probability vectors
   (scikit-learn's soft voting).
 - :class:`GradientBoosting`: logistic-loss gradient boosting; each stage
   fits an mse regression tree to the residual ``y - sigmoid(F)`` and leaf
   values take a Newton step, matching sklearn/LightGBM-style boosting. The
-  learned ensemble is a list of margin trees plus ``base_score`` (log-odds).
+  learned ensemble is a list of margin trees, learning rate folded into
+  their payloads, plus ``base_score`` (log-odds).
+
+The learners only fit. A fitted model predicts through its IR model node
+(:func:`repro.ml.pipeline.model_attrs`) and the one model kernel,
+:mod:`repro.runtime.onnx_rt`; boosting routes each stage's rows with that
+kernel's :class:`~repro.runtime.onnx_rt.TreeStack` too.
 """
 from __future__ import annotations
 
@@ -16,12 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.ir.tree import Tree
+from repro.ir.tree import LEAF, Tree
 from repro.ml.tree import DecisionTree
-
-
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -60, 60)))
+from repro.runtime.onnx_rt import sigmoid, stack_trees
 
 
 @dataclass
@@ -62,16 +65,6 @@ class RandomForest:
             self.trees_.append(t)
         return self
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float32)
-        acc = np.zeros((X.shape[0], self.n_classes_))
-        for t in self.trees_:
-            acc += t.predict_value(X)
-        return acc / len(self.trees_)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.argmax(self.predict_proba(X), axis=1)
-
 
 @dataclass
 class GradientBoosting:
@@ -89,6 +82,7 @@ class GradientBoosting:
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoosting":
         X = np.asarray(X, dtype=np.float32)
+        X_slots = np.asfortranarray(X)  # the layout TreeStack reads, made once
         y = np.asarray(y, dtype=np.float64)
         p0 = float(np.clip(y.mean(), 1e-6, 1 - 1e-6))
         self.base_score_ = float(np.log(p0 / (1 - p0)))
@@ -106,28 +100,14 @@ class GradientBoosting:
             ).fit(X, residual)
             t = dt.tree_
             # Newton leaf values: sum(residual) / sum(p*(1-p)) per leaf.
-            leaf = t.decision_path_leaf(X)
+            leaf = stack_trees([t]).leaves(X_slots)[0]
             num = np.bincount(leaf, weights=residual, minlength=t.n_nodes)
             den = np.bincount(leaf, weights=p * (1 - p), minlength=t.n_nodes)
             gamma = np.where(den > 1e-12, num / np.maximum(den, 1e-12), 0.0)
             value = t.value.copy()
-            is_leaf = t.left == -1
+            is_leaf = t.left == LEAF
             value[is_leaf, 0] = gamma[is_leaf]
-            t = Tree(t.feature, t.threshold, t.left, t.right, value)
-            self.trees_.append(t)
-            F = F + self.learning_rate * t.predict_value(X)[:, 0]
+            value = value * float(self.learning_rate)
+            self.trees_.append(Tree(t.feature, t.threshold, t.left, t.right, value))
+            F = F + value[leaf, 0]
         return self
-
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float32)
-        F = np.full(X.shape[0], self.base_score_)
-        for t in self.trees_:
-            F += self.learning_rate * t.predict_value(X)[:, 0]
-        return F
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        p1 = sigmoid(self.decision_function(X))
-        return np.column_stack([1 - p1, p1])
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.decision_function(X) > 0).astype(np.int64)

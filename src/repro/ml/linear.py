@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.ml.ensemble import sigmoid
+from repro.runtime.onnx_rt import sigmoid
 
 
 @dataclass
@@ -69,21 +69,6 @@ class LogisticRegression:
         self.coef_ = w
         self.intercept_ = float(b)
         return self
-
-    # ------------------------------------------------------------------
-    @property
-    def n_zero_weights(self) -> int:
-        return int(np.sum(self.coef_ == 0.0))
-
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(X, dtype=np.float64) @ self.coef_ + self.intercept_
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        p1 = sigmoid(self.decision_function(X))
-        return np.column_stack([1 - p1, p1])
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.decision_function(X) > 0).astype(np.int64)
 
 
 def _soft_threshold(x: np.ndarray, t: float) -> np.ndarray:

@@ -15,8 +15,10 @@ Raven), the paper's Fig 2 ②::
 so the feature-vector layout is ``[scaled numerics in num_cols order] ++
 [one-hot blocks per cat col in cat_cols order]``, and the training matrix
 comes from the serving featurizer, :func:`repro.runtime.onnx_rt.featurize`.
-Gradient-boosting learning rate is folded into leaf values, so the ensemble
-is ``base_score + Σ tree(x)`` — the form MLtoSQL and MLtoDNN compile.
+Gradient boosting folds its learning rate into the leaf values as it fits,
+so the ensemble is ``base_score + Σ tree(x)`` — the form MLtoSQL and MLtoDNN
+compile. Categorical values become category strings by the rule every
+runtime applies, :func:`repro.runtime.onnx_rt.category_strings`.
 """
 from __future__ import annotations
 
@@ -25,7 +27,6 @@ import pandas as pd
 
 from repro.cache import cached
 from repro.ir.graph import Node, Pipeline
-from repro.ir.tree import Tree
 from repro.ml.ensemble import GradientBoosting, RandomForest
 from repro.ml.linear import LogisticRegression
 from repro.ml.tree import DecisionTree
@@ -36,7 +37,7 @@ MODEL_KINDS = ("lr", "dt", "gb", "rf")
 
 def _categories(values) -> list[str]:
     """A one-hot's category list: the distinct values as strings, sorted."""
-    return sorted(pd.unique(pd.Series(values).astype(str)))
+    return sorted(pd.unique(onnx_rt.category_strings(pd.Series(values))))
 
 
 def fit_pipeline(
@@ -130,12 +131,8 @@ def model_attrs(model, kind: str) -> dict:
             "intercept": float(model.intercept_),
         }
     if kind == "gb":
-        lr = float(model.learning_rate)
-        trees = [
-            Tree(t.feature, t.threshold, t.left, t.right, t.value * lr)
-            for t in model.trees_
-        ]
-        return {"trees": trees, "kind": "gb", "base_score": float(model.base_score_)}
+        return {"trees": list(model.trees_), "kind": "gb",
+                "base_score": float(model.base_score_)}
     trees = [model.tree_] if kind == "dt" else list(model.trees_)
     return {"trees": trees, "kind": kind, "base_score": 0.0}
 

@@ -9,7 +9,9 @@ wide one-hot matrices of the Expedia/Flights datasets), and gain-based
 feature importances (used by the rule-based optimization strategy of §5.2).
 
 Output is the :class:`repro.ir.tree.Tree` array structure that the Raven
-optimizer consumes directly.
+optimizer consumes directly. The learner only fits: a fitted tree predicts
+through its IR model node and the one model kernel,
+:mod:`repro.runtime.onnx_rt`, as in training, the strategies and serving.
 """
 from __future__ import annotations
 
@@ -132,21 +134,6 @@ class DecisionTree:
         if self.max_features == "sqrt":
             return max(1, int(np.ceil(np.sqrt(d))))
         return min(d, int(self.max_features))
-
-    # ------------------------------------------------------------------
-    def predict_value(self, X: np.ndarray) -> np.ndarray:
-        assert self.tree_ is not None, "fit first"
-        return self.tree_.predict_value(np.asarray(X, dtype=np.float32))
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        v = self.predict_value(X)
-        if self.criterion == "gini":
-            return np.argmax(v, axis=1)
-        return v[:, 0]
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        assert self.criterion == "gini"
-        return self.predict_value(X)
 
 
 def _best_split(

@@ -40,12 +40,6 @@ class GpuEstimate:
     compute_s: float
     overhead_s: float
 
-    def __str__(self) -> str:  # pragma: no cover - display helper
-        return (
-            f"{self.total_s:.2f}s (xfer {self.transfer_s:.2f}, "
-            f"compute {self.compute_s:.2f}, overhead {self.overhead_s:.2f})"
-        )
-
 
 def modeled_gpu_seconds(
     model: DnnModel,

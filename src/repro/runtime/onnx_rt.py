@@ -15,8 +15,15 @@ everywhere. It reads a ``pyarrow.RecordBatch`` (one-hot codes come from
 ``pyarrow.compute``, never from Python strings); a pandas frame goes
 through :func:`arrow_batch` first. :func:`predict` is the model kernel and
 :class:`TreeStack` its tree traversal, which ``dnn_rt``'s traversal
-strategy runs too. The reference runtime
+strategy runs too. It is the one kernel for every fitted model:
+serving, gradient-boosting training (:class:`TreeStack` routes the rows
+of each stage's Newton step) and the §5.2 strategies
+(:mod:`repro.core.strategies`) all predict through it; the learners in
+:mod:`repro.ml` only fit. The reference runtime
 (:mod:`repro.runtime.reference_rt`) deliberately keeps its own.
+
+:func:`category_strings` is the one rendering of categorical values as
+strings, shared by training, statistics and the adapters here.
 
 Returns ``(label, score)`` with ``score = P(class 1)`` for binary models.
 """
@@ -31,7 +38,6 @@ import pyarrow.compute as pc
 
 from repro.ir.graph import MODEL_OPS, Node, Pipeline
 from repro.ir.tree import LEAF, Tree
-from repro.ml.ensemble import sigmoid
 
 Batch = pa.RecordBatch | pd.DataFrame
 
@@ -41,11 +47,20 @@ def run(p: Pipeline, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
     return predict(p.model_node, featurize(p, batch))
 
 
+def category_strings(values: pd.Series) -> np.ndarray:
+    """Categorical values as the strings a one-hot's categories hold: a
+    NULL (``None``, NaN, ``pd.NA``) is ``'None'``; any other value is what
+    pandas' ``astype(str)`` gives in the values' own dtype (``1`` ->
+    ``'1'``, ``1.0`` -> ``'1.0'``)."""
+    out = values.astype(str).to_numpy(dtype=object)
+    null = values.isna().to_numpy()
+    return np.where(null, "None", out) if null.any() else out
+
+
 def arrow_batch(p: Pipeline, pdf: pd.DataFrame) -> pa.RecordBatch:
     """The pandas adapter: ``p``'s input columns of ``pdf`` as an Arrow
     batch. Numeric inputs become float64; categorical ones become strings
-    by pandas' ``astype(str)`` (NULL -> ``'None'``, ``1`` -> ``'1'``,
-    ``1.0`` -> ``'1.0'``)."""
+    by :func:`category_strings`."""
     cols = {}
     for n in p.nodes.values():
         if n.op == "input":
@@ -53,16 +68,18 @@ def arrow_batch(p: Pipeline, pdf: pd.DataFrame) -> pa.RecordBatch:
             if n.attrs["kind"] == "num":
                 cols[n.attrs["name"]] = pa.array(s.to_numpy(dtype=np.float64))
             else:
-                cols[n.attrs["name"]] = pa.array(s.astype(str).to_numpy(), pa.string())
+                cols[n.attrs["name"]] = pa.array(category_strings(s), pa.string())
     # a pipeline without inputs still sees the batch's row count
     return pa.RecordBatch.from_pydict(cols or {"_": pa.nulls(len(pdf))})
 
 
 def _strings(col: pa.Array) -> pa.Array:
     """A categorical column as Arrow strings, NULL as ``'None'``; a
-    non-string column is rendered by the pandas adapter's rule."""
+    non-string column is rendered by :func:`category_strings` in its own
+    dtype (an integer column holding a NULL stays integer)."""
     if not (pa.types.is_string(col.type) or pa.types.is_large_string(col.type)):
-        return pa.array(col.to_pandas().astype(str).to_numpy(), pa.string())
+        values = col.to_pandas(integer_object_nulls=True)
+        return pa.array(category_strings(values), pa.string())
     return pc.fill_null(col, "None") if col.null_count else col
 
 
@@ -231,6 +248,10 @@ def predict(model: Node, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     base = model.attrs["base_score"] if kind == "gb" else 0.0
     acc = stack_trees(trees).payload_sum(X.astype(np.float32), base)
     return ensemble_output(kind, acc, len(trees))
+
+
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -60, 60)))
 
 
 def binary_output(margin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -16,8 +16,8 @@ import pandas as pd
 
 from repro.ir.graph import Pipeline
 from repro.ir.tree import LEAF, Tree
-from repro.ml.ensemble import sigmoid
 from repro.runtime import onnx_rt
+from repro.runtime.onnx_rt import sigmoid
 
 
 def _tree_values_masked(t: Tree, X: np.ndarray) -> np.ndarray:
@@ -52,7 +52,9 @@ def run(p: Pipeline, pdf: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
             if node.attrs["kind"] == "num":
                 values[nid] = pdf[col].to_numpy(dtype=np.float64)[:, None]
             else:
-                values[nid] = pdf[col].astype(str).to_numpy()[:, None]
+                # onnx_rt.category_strings' rule, restated: NULL is 'None'
+                s = pdf[col]
+                values[nid] = s.astype(str).where(s.notna(), "None").to_numpy()[:, None]
         elif node.op == "constant":
             v = node.attrs["value"]
             values[nid] = (

@@ -2,16 +2,15 @@
 pipeline's graph, and the two CPU runtimes."""
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 from repro.ir.graph import Node, Pipeline, model_used_features, node_width
 from repro.ir.slots import Slot, model_input_slots
 from repro.ir.tree import LEAF, Tree, leaf_tree
-from repro.ml.ensemble import GradientBoosting, RandomForest
-from repro.ml.linear import LogisticRegression
-from repro.ml.pipeline import fit_pipeline, model_attrs
-from repro.ml.tree import DecisionTree
+from repro.ml.pipeline import fit_pipeline
 from repro.runtime import onnx_rt, reference_rt
+from tests.null_categories import null_category_frame, null_category_pipeline
 
 
 def _toy_tree():
@@ -31,12 +30,17 @@ def _toy_tree():
     )
 
 
+def _payload(t, X):
+    """``t``'s leaf payload for each row of ``X``, routed by the kernel."""
+    return t.value[onnx_rt.stack_trees([t]).leaves(X)[0]]
+
+
 class TestTree:
     def test_routing(self):
         t = _toy_tree()
         X = np.array([[50, 0, 0], [50, 1, 0], [70, 0, 0], [70, 0, 1]], dtype=np.float32)
         np.testing.assert_array_equal(
-            np.argmax(t.predict_value(X), axis=1), [1, 0, 0, 1]
+            np.argmax(_payload(t, X), axis=1), [1, 0, 0, 1]
         )
 
     def test_depth_and_counts(self):
@@ -54,7 +58,7 @@ class TestTree:
         assert pt.n_nodes == 3
         assert pt.used_features().tolist() == [1]
         X = np.array([[50, 0, 9], [50, 1, 9]], dtype=np.float32)
-        np.testing.assert_array_equal(pt.predict_value(X), t.predict_value(X))
+        np.testing.assert_array_equal(_payload(pt, X), _payload(t, X))
 
     def test_prune_right_interval(self):
         t = _toy_tree()
@@ -92,14 +96,14 @@ class TestTree:
         )
         assert pt.n_nodes == t.n_nodes
         X = np.random.default_rng(0).uniform(-100, 100, (50, 3)).astype(np.float32)
-        np.testing.assert_array_equal(pt.predict_value(X), t.predict_value(X))
+        np.testing.assert_array_equal(_payload(pt, X), _payload(t, X))
 
     def test_remap_features(self):
         t = _toy_tree()
         rt = t.remap_features({0: 2, 1: 0, 2: 1})
         assert sorted(rt.used_features().tolist()) == [0, 1, 2]
         X = np.array([[0.0, 0.0, 50.0]], dtype=np.float32)  # f0 now at index 2
-        np.testing.assert_array_equal(rt.predict_value(X), [[0, 1]])
+        np.testing.assert_array_equal(_payload(rt, X), [[0, 1]])
 
     def test_collapse_unsatisfying(self):
         t = _toy_tree()
@@ -111,7 +115,7 @@ class TestTree:
         assert ct.n_nodes <= t.n_nodes
         X = np.array([[50, 0, 0], [70, 0, 1]], dtype=np.float32)
         np.testing.assert_array_equal(
-            np.argmax(ct.predict_value(X), axis=1), [1, 1]
+            np.argmax(_payload(ct, X), axis=1), [1, 1]
         )
 
     def test_collapse_whole_side(self):
@@ -126,7 +130,7 @@ class TestTree:
         t = leaf_tree([0.2, 0.8])
         assert t.n_nodes == 1 and t.depth() == 0
         np.testing.assert_array_equal(
-            t.predict_value(np.zeros((2, 5))), [[0.2, 0.8]] * 2
+            _payload(t, np.zeros((2, 5))), [[0.2, 0.8]] * 2
         )
 
 
@@ -151,13 +155,6 @@ def frame():
 #: the frame's feature vector: age, bpm, asthma {0, 1}, smoker {no, quit, yes}
 N_FEATURES = 7
 
-LEARNERS = {
-    "lr": lambda: LogisticRegression(),
-    "dt": lambda: DecisionTree(max_depth=5),
-    "gb": lambda: GradientBoosting(n_estimators=8, max_depth=5),
-    "rf": lambda: RandomForest(n_estimators=8, max_depth=5),
-}
-
 
 @pytest.fixture(scope="module", params=["lr", "dt", "gb", "rf"])
 def ir_and_frame(request, frame):
@@ -175,21 +172,16 @@ class TestBuilderAndRuntimes:
         assert p.input_cols == ["age", "bpm", "asthma", "smoker"]
         assert p.n_model_features() == N_FEATURES
 
-    def test_onnx_rt_matches_native_predict(self, ir_and_frame):
-        """A learner's own predict / predict_proba on a matrix equals
-        onnx_rt.predict over its converted model node."""
-        p, frame = ir_and_frame
-        kind = p.model_node.attrs.get("kind", "lr")
-        X = np.ascontiguousarray(onnx_rt.featurize(p, frame), dtype=np.float32)
-        model = LEARNERS[kind]().fit(X, frame["label"].to_numpy())
-        node = Node(p.model_node.op, [], model_attrs(model, kind))
-        label, score = onnx_rt.predict(node, X)
-        np.testing.assert_array_equal(label, model.predict(X))
-        np.testing.assert_allclose(score, model.predict_proba(X)[:, 1], atol=1e-6)
-
     def test_reference_rt_matches_onnx_rt(self, ir_and_frame):
         p, frame = ir_and_frame
         assert reference_rt.agrees_with_onnx_rt(p, frame)
+
+    def test_reference_rt_renders_null_categories_as_onnx_rt(self):
+        frame = null_category_frame()
+        p = null_category_pipeline(frame)
+        label, _ = reference_rt.run(p, frame)
+        want, _ = onnx_rt.run(p, pa.RecordBatch.from_pandas(frame))
+        np.testing.assert_array_equal(label, want)
 
     def test_topo_order_parents_after_children(self, ir_and_frame):
         p, _ = ir_and_frame

@@ -6,6 +6,7 @@ The load-bearing property everywhere: the optimized pipeline is
 """
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 from repro.core.data_induced import (
@@ -27,6 +28,7 @@ from repro.ir.tree import LEAF
 from repro.ml.pipeline import fit_pipeline
 from repro.runtime import onnx_rt
 from tests.boundaries import split_boundaries
+from tests.null_categories import null_category_frame, null_category_pipeline
 
 
 @pytest.fixture(scope="module")
@@ -313,6 +315,17 @@ class TestDataInduced:
         assert stats.num_ranges["x"][1] == np.inf
         all_null = collect_stats_pandas(rows.assign(x=np.nan), ["x", "y"], ["c"])
         assert "x" not in all_null.num_ranges and "y" in all_null.num_ranges
+
+    def test_nan_categorical_keeps_the_none_branch(self):
+        # the model learned NULLs as None; statistics over rows holding NaN
+        # must record the same category, or pruning drops that branch
+        p = null_category_pipeline(null_category_frame(null=None))
+        rows = null_category_frame(seed=1).drop(columns="label")
+        stats = collect_stats_pandas(rows, ["x"], ["c"])
+        assert stats.cat_domains["c"] == {"None", "a", "b", "c"}
+        pruned = apply_data_induced_pruning(p, stats).pipeline
+        batch = pa.RecordBatch.from_pandas(rows)
+        np.testing.assert_array_equal(onnx_rt.run(pruned, batch)[0], onnx_rt.run(p, batch)[0])
 
     def test_null_numeric_is_not_folded_into_a_linear_model(self, null_x):
         # x is one value or NULL: the slot is not known, so x stays a model

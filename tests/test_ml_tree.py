@@ -2,8 +2,16 @@
 import numpy as np
 import pytest
 
+from repro.ir.graph import Node
 from repro.ir.tree import LEAF
+from repro.ml.pipeline import model_attrs
 from repro.ml.tree import DecisionTree, _best_split
+from repro.runtime import onnx_rt
+
+
+def _labels(dt, X):
+    """``dt``'s class labels, scored by the model kernel over its IR node."""
+    return onnx_rt.predict(Node("tree_ensemble", [], model_attrs(dt, "dt")), X)[0]
 
 
 def _xor_data(n=400, seed=0):
@@ -57,7 +65,7 @@ class TestDecisionTree:
     def test_fits_xor(self):
         X, y = _xor_data()
         dt = DecisionTree(max_depth=4).fit(X, y)
-        assert (dt.predict(X) == y).mean() > 0.95
+        assert (_labels(dt, X) == y).mean() > 0.95
 
     def test_max_depth_respected(self):
         X, y = _xor_data()
@@ -75,7 +83,7 @@ class TestDecisionTree:
     def test_min_samples_leaf(self):
         X, y = _xor_data(200)
         dt = DecisionTree(max_depth=10, min_samples_leaf=20).fit(X, y)
-        leaf = dt.tree_.decision_path_leaf(X)
+        leaf = onnx_rt.stack_trees([dt.tree_]).leaves(X)[0]
         counts = np.bincount(leaf, minlength=dt.tree_.n_nodes)
         leaves = dt.tree_.left == LEAF
         assert counts[leaves].min() >= 20
@@ -86,12 +94,6 @@ class TestDecisionTree:
         t2 = DecisionTree(max_depth=6, random_state=3).fit(X, y).tree_
         assert np.array_equal(t1.feature, t2.feature)
         assert np.array_equal(t1.threshold, t2.threshold)
-
-    def test_predict_proba_rows_sum_to_one(self):
-        X, y = _xor_data()
-        dt = DecisionTree(max_depth=3).fit(X, y)
-        p = dt.predict_proba(X)
-        np.testing.assert_allclose(p.sum(axis=1), 1.0)
 
     def test_feature_importances(self):
         rng = np.random.default_rng(2)
@@ -106,17 +108,17 @@ class TestDecisionTree:
         X = rng.uniform(0, 1, (300, 1)).astype(np.float32)
         y = (X[:, 0] > 0.5).astype(np.float64) * 7.0
         dt = DecisionTree(max_depth=2, criterion="mse").fit(X, y)
-        pred = dt.predict(X)
+        pred = onnx_rt.stack_trees([dt.tree_]).payload_sum(X, 0.0)[:, 0]
         assert np.abs(pred - y).mean() < 0.5
 
     def test_max_features_subsampling_still_learns(self):
         X, y = _xor_data(800)
         dt = DecisionTree(max_depth=8, max_features=1, random_state=0).fit(X, y)
-        assert (dt.predict(X) == y).mean() > 0.8
+        assert (_labels(dt, X) == y).mean() > 0.8
 
     def test_single_row(self):
         dt = DecisionTree().fit(np.zeros((1, 2), dtype=np.float32), np.array([1]))
-        assert dt.predict(np.zeros((3, 2))).tolist() == [1, 1, 1]
+        assert _labels(dt, np.zeros((3, 2))).tolist() == [1, 1, 1]
 
     def test_value_payload_is_class_distribution(self):
         X, y = _xor_data()

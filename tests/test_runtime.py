@@ -1,6 +1,6 @@
 """The ML runtime's two kernels: the all-trees traversal against the
-per-tree reference (bit for bit), and the Arrow featurizer against its
-pandas adapter (identical matrices)."""
+reference runtime's per-tree descent (bit for bit), and the Arrow
+featurizer against its pandas adapter (identical matrices)."""
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -9,8 +9,9 @@ import pytest
 from repro.core.predicate_pruning import apply_output_predicate_pruning
 from repro.ir.slots import model_input_slots
 from repro.ml.pipeline import fit_pipeline
-from repro.runtime import onnx_rt
+from repro.runtime import onnx_rt, reference_rt
 from tests.boundaries import boundary_rows
+from tests.null_categories import null_category_frame, null_category_pipeline
 
 NUM, CAT = ["age", "bpm"], ["ward", "smoker"]
 
@@ -39,12 +40,15 @@ def _ir(frame, kind, **kw):
 
 
 def _per_tree(model, X):
-    """The reference: each tree's ``predict_value`` added in tree order."""
+    """The reference: ``reference_rt``'s recursive descent of each tree, on
+    the float32 cast of ``X`` held in float64 (so splits compare against
+    the float64 thresholds, as the kernel's do), added in tree order."""
     trees = model.attrs["trees"]
     kind = model.attrs["kind"]
+    X = X.astype(np.float32).astype(np.float64)
     acc = np.full((len(X), trees[0].n_out), model.attrs["base_score"] if kind == "gb" else 0.0)
     for t in trees:
-        acc += t.predict_value(X.astype(np.float32))
+        acc += reference_rt._tree_values_masked(t, X)
     return onnx_rt.ensemble_output(kind, acc, len(trees))
 
 
@@ -198,6 +202,16 @@ class TestFeaturizerAdapters:
         label, score = onnx_rt.run(p, pa.RecordBatch.from_pandas(pdf))
         assert label.shape == score.shape == (0,)
 
+    def test_int_typed_categorical_holding_a_null(self, p, frame):
+        # one NULL must not render the other values as floats ('2.0')
+        pdf = frame.head(9).assign(ward=frame.ward.head(9).astype(int)).astype({"ward": "Int64"})
+        pdf.loc[pdf.index[0], "ward"] = pd.NA
+        batch = pa.RecordBatch.from_pandas(pdf)
+        assert pa.types.is_integer(batch.schema.field("ward").type)
+        assert batch.column("ward").null_count == 1
+        X = self._assert_same(p, pdf, batch)
+        assert (self._block(p, X, "ward")[1:].sum(axis=1) == 1).all()
+
     def test_float_categorical_keeps_pandas_rendering(self, p, frame):
         # pandas' astype(str) writes 1.0 as '1.0', which is not category '1'
         pdf = frame.head(3).assign(ward=[1.0, 2.0, 3.0])
@@ -269,3 +283,26 @@ class TestDictionaryInput:
         X = self._assert_same(p, frame, self._dict([], ["no", "yes"]))
         label, score = onnx_rt.predict(p.model_node, X)
         assert label.shape == score.shape == (0,)
+
+
+class TestCategoryRendering:
+    """One rule renders a categorical value as a string on every path: NULL
+    is ``'None'``, any other value pandas' ``astype(str)`` in its own dtype."""
+
+    def test_rule(self):
+        render = onnx_rt.category_strings
+        nulls = pd.Series(["a", None, np.nan, pd.NA], dtype=object)
+        assert render(nulls).tolist() == ["a", "None", "None", "None"]
+        assert render(pd.Series([1, 2])).tolist() == ["1", "2"]
+        assert render(pd.Series([1.0, np.nan])).tolist() == ["1.0", "None"]
+        assert render(pd.Series([1, None], dtype="Int64")).tolist() == ["1", "None"]
+
+    def test_nan_in_training_scores_alike_from_pandas_and_arrow(self):
+        frame = null_category_frame()
+        p = null_category_pipeline(frame)
+        (onehot,) = [n for n in p.nodes.values() if n.op == "onehot"]
+        assert onehot.attrs["categories"] == ["None", "a", "b", "c"]
+        label, _ = onnx_rt.run(p, frame)
+        np.testing.assert_array_equal(label[frame.c.isna()], 1)
+        arrow_label, _ = onnx_rt.run(p, pa.RecordBatch.from_pandas(frame))
+        np.testing.assert_array_equal(arrow_label, label)

@@ -7,13 +7,14 @@ import pandas as pd
 import pytest
 
 from repro import oracle
-from repro.core.optimizer import OptimizerConfig
+from repro.core.optimizer import OptimizerConfig, RavenOptimizer
 from repro.core.predicate_pruning import Predicate
 from repro.core.query import PredictionQuery
 from repro.core.session import RavenSession, dataset_query
 from repro.data import datasets as ds
 from repro.ml.pipeline import fit_pipeline
-from repro.runtime import spark_exec
+from repro.runtime import onnx_rt, spark_exec
+from tests.null_categories import null_category_frame, null_category_pipeline
 
 N_ROWS = 3000
 
@@ -253,6 +254,21 @@ def test_udf_workers_check_zip_stat(spark):
     df = spark.range(0, 20000, numPartitions=4)
     got = spark_exec.with_predict_udf(df, scorer).toPandas()
     assert len(got) == 20000 and (got["prediction"] == 1).all()
+
+
+class TestNullCategories:
+    def test_nan_trained_model_scores_as_pandas(self, spark):
+        # the model learned NULL categoricals from NaN; Spark hands the UDF
+        # those rows as Arrow NULLs
+        frame = null_category_frame()
+        p = null_category_pipeline(frame)
+        t = frame.drop(columns="label")
+        query = PredictionQuery(fact="t", pipeline=p, table_cols={"t": list(t.columns)})
+        plan = RavenOptimizer(OptimizerConfig(runtime="none")).optimize(query)
+        catalog = spark_exec.register_pandas_tables(spark, {"t": t})
+        got = spark_exec.execute_plan(catalog, plan).toPandas()["prediction"]
+        want, _ = onnx_rt.run(p, frame)
+        np.testing.assert_array_equal(got.to_numpy(), want)
 
 
 class TestPartitionedPlans:

@@ -19,6 +19,7 @@ from repro.runtime.dnn_rt import compile_to_dnn
 from repro.sqlserver import engine
 from repro.sqlserver.engine import SqlServerSim, data_select_sql, encoded_scan
 from repro.sqlserver.madlib import madlib_supported, run_madlib
+from tests.null_categories import null_category_frame, null_category_pipeline
 from tests.partitioned import partitioned_case
 
 
@@ -526,6 +527,31 @@ class TestSharedJoinKey:
             "WHERE searches.prop_id < 5.00000000000000000e+01"
             " AND price_usd > 1.00000000000000000e+02"
         )
+
+
+class TestNullCategories:
+    """A model that learned NULL categoricals from NaN counts on each DuckDB
+    path what the pandas oracle counts."""
+
+    @pytest.mark.parametrize("path", ["predict_statement", "raven_predict", "raven_sql"])
+    def test_counts_equal_oracle(self, path):
+        frame = null_category_frame()
+        p = null_category_pipeline(frame)
+        label, _ = onnx_rt.run(p, frame)
+        want = {int(k): int(n) for k, n in zip(*np.unique(label, return_counts=True))}
+        q = PredictionQuery(fact="t", pipeline=p, table_cols={"t": ["x", "c"]})
+        eng = SqlServerSim({"t": frame.drop(columns="label")}, threads=2)
+        try:
+            if path == "predict_statement":
+                res = eng.run_predict_statement(q, p)
+            else:
+                runtime = "sql" if path == "raven_sql" else "none"
+                plan = RavenOptimizer(OptimizerConfig(runtime=runtime)).optimize(q)
+                run = eng.run_raven_sql if path == "raven_sql" else eng.run_raven_predict
+                res = run(plan)
+        finally:
+            eng.close()
+        assert dict(zip(res.agg["prediction"].tolist(), res.agg["n"].tolist())) == want
 
 
 class TestMadlib:
